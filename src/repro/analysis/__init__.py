@@ -1,7 +1,7 @@
 """Repo-specific static analysis: the determinism & parallel-safety gate.
 
-``repro lint`` (see :mod:`repro.analysis.cli`) walks the tree with
-custom AST checkers enforcing the invariants the reproduction's
+``repro lint`` (see :mod:`repro.analysis.cli`) visits each module once
+with the per-file checker (:mod:`repro.analysis.checkers`) enforcing the invariants the reproduction's
 correctness rests on — explicitly-seeded RNG everywhere, picklable
 symbols across process-pool boundaries, no wall-clock reads on the
 hot path, no mutable default arguments.  ``repro lint --project``
@@ -16,7 +16,9 @@ concurrency-lifecycle & durability wave RA800–RA805 (see
 :mod:`repro.analysis.durability`) — lock-order deadlocks, blocking
 calls under a lock, leaked threads/processes, and durable artifacts
 (``[tool.repro.durability]``) written without tmp+fsync+rename — with
-per-file results cached incrementally by content hash.  ``repro lint
+per-file results cached incrementally by content hash.  Each file is
+parsed once and summarised by one pass (see :mod:`repro.analysis.ir`)
+that every rule wave reads.  ``repro lint
 --fix`` applies the safe RA7xx rewrites (see
 :mod:`repro.analysis.fixer`).  Rules are documented in
 ``docs/static-analysis.md`` and suppressed inline with
@@ -24,21 +26,22 @@ per-file results cached incrementally by content hash.  ``repro lint
 """
 
 from .base import (DEFAULT_HOT_PACKAGES, FIXABLE_RULES, LINT_VERSION,
-                   PROJECT_RULES, RULES, Checker, ImportMap,
-                   ModuleContext, Violation, apply_suppressions,
-                   checker_classes, ruleset_fingerprint,
+                   PROJECT_RULES, RULES, ImportMap, ModuleContext,
+                   Violation, apply_suppressions, ruleset_fingerprint,
                    suppressed_lines)
-from .dataflow import (DeterminismConfig, DeterminismConfigError,
-                       DetSite, check_determinism, extract_det_sites,
+from .checkers import FileChecker
+from .dataflow import (DetBuilder, DeterminismConfig,
+                       DeterminismConfigError, DetSite, check_determinism,
                        find_determinism_config, read_determinism_table)
-from .durability import (DurabilityConfig, DurabilityConfigError,
-                         DuraSite, check_durability, extract_dura_sites,
+from .durability import (DuraBuilder, DurabilityConfig,
+                         DurabilityConfigError, DuraSite, check_durability,
                          find_durability_config, read_durability_table)
 from .engine import (AnalysisReport, analyze_paths, analyze_source,
                      iter_python_files)
-from .lifecycle import LifeSite, check_lifecycle, extract_life_sites
+from .ir import FunctionIR, ModuleIR, SiteBuilder
+from .lifecycle import LifeBuilder, LifeSite, check_lifecycle
 from .fixer import Fix, apply_fixes, fix_for_site, render_diffs
-from .project import analyze_project
+from .project import FileAnalysis, analyze_project, extract_file
 
 __all__ = [
     "DEFAULT_HOT_PACKAGES",
@@ -46,35 +49,39 @@ __all__ = [
     "LINT_VERSION",
     "PROJECT_RULES",
     "RULES",
-    "Checker",
+    "FileChecker",
     "ImportMap",
     "ModuleContext",
     "Violation",
     "apply_suppressions",
-    "checker_classes",
     "ruleset_fingerprint",
     "suppressed_lines",
+    "DetBuilder",
     "DeterminismConfig",
     "DeterminismConfigError",
     "DetSite",
     "check_determinism",
-    "extract_det_sites",
     "find_determinism_config",
     "read_determinism_table",
+    "DuraBuilder",
     "DurabilityConfig",
     "DurabilityConfigError",
     "DuraSite",
     "check_durability",
-    "extract_dura_sites",
     "find_durability_config",
     "read_durability_table",
+    "FunctionIR",
+    "ModuleIR",
+    "SiteBuilder",
+    "LifeBuilder",
     "LifeSite",
     "check_lifecycle",
-    "extract_life_sites",
     "AnalysisReport",
     "analyze_paths",
     "analyze_source",
     "analyze_project",
+    "extract_file",
+    "FileAnalysis",
     "iter_python_files",
     "Fix",
     "apply_fixes",

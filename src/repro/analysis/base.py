@@ -1,9 +1,9 @@
 """Shared plumbing for the repo-specific static checkers.
 
-Every checker is an :mod:`ast` visitor that walks one parsed module and
-reports :class:`Violation` records.  The engine (``engine.py``) feeds
-each checker a :class:`ModuleContext` describing the file under
-analysis — its path, source lines, and whether it lives on a
+The per-file checker (``checkers.py``) visits one parsed module and
+reports :class:`Violation` records.  The engine (``engine.py``) feeds it
+a :class:`ModuleContext` describing the file under analysis — its path,
+source lines, import map, and whether it lives on a
 determinism-critical hot path — and afterwards filters out violations
 the author suppressed with an inline ``# repro: noqa[RAxxx]`` marker.
 """
@@ -11,11 +11,16 @@ the author suppressed with an inline ``# repro: noqa[RAxxx]`` marker.
 from __future__ import annotations
 
 import ast
+import dataclasses
+import functools
 import hashlib
 import re
+import sys
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Type
+from typing import (Any, Callable, Dict, FrozenSet, List, Optional,
+                    Sequence, Tuple)
 
 #: linter version, part of the cache fingerprint: bump on any release
 #: that changes what the analyzer reports without touching rule text
@@ -169,40 +174,21 @@ class ModuleContext:
     tree: ast.Module
     hot_packages: FrozenSet[str] = DEFAULT_HOT_PACKAGES
     display_path: str = ""
+    #: the module's import map; project mode passes the one its
+    #: :class:`~repro.analysis.ir.ModuleIR` built, so each file's
+    #: imports are collected once
+    imports: Optional["ImportMap"] = None
 
     def __post_init__(self) -> None:
         if not self.display_path:
             self.display_path = str(self.path)
+        if self.imports is None:
+            self.imports = ImportMap().collect(self.tree)
 
     @property
     def is_hot_path(self) -> bool:
         """True when the file lives under a determinism-critical package."""
         return bool(self.hot_packages.intersection(self.path.parts))
-
-
-class Checker(ast.NodeVisitor):
-    """Base class: an AST visitor that accumulates violations."""
-
-    #: codes this checker can emit (used by ``--select`` filtering and
-    #: by the fixture tests to map fixtures onto checkers)
-    codes: Tuple[str, ...] = ()
-
-    def __init__(self, context: ModuleContext) -> None:
-        self.context = context
-        self.violations: List[Violation] = []
-
-    def report(self, node: ast.AST, code: str, message: str) -> None:
-        self.violations.append(Violation(
-            path=self.context.display_path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0) + 1,
-            code=code,
-            message=message,
-        ))
-
-    def run(self) -> List[Violation]:
-        self.visit(self.context.tree)
-        return self.violations
 
 
 @dataclass
@@ -242,22 +228,99 @@ class ImportMap:
         Returns e.g. ``"numpy.random.rand"`` or None when the base name
         is not a tracked import.
         """
-        parts: List[str] = []
-        cursor = node
-        while isinstance(cursor, ast.Attribute):
-            parts.append(cursor.attr)
-            cursor = cursor.value
-        if not isinstance(cursor, ast.Name):
+        chain = name_chain(node)
+        if chain is None:
             return None
-        base = cursor.id
-        if base in self.modules:
-            prefix = self.modules[base]
-        elif base in self.symbols:
-            module, original = self.symbols[base]
+        if chain[0] in self.modules:
+            prefix = self.modules[chain[0]]
+        elif chain[0] in self.symbols:
+            module, original = self.symbols[chain[0]]
             prefix = f"{module}.{original}"
         else:
             return None
-        return ".".join([prefix] + list(reversed(parts)))
+        return ".".join([prefix] + chain[1:])
+
+
+def name_chain(node: ast.expr) -> Optional[List[str]]:
+    """``["np", "random", "rand"]`` for ``np.random.rand``; None unless
+    the expression is a name followed by attribute accesses."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    return parts[::-1]
+
+
+# -- the cache codec ----------------------------------------------------------
+#
+# Everything project mode caches per file (facts, sites, findings) is a
+# dataclass of plain fields, so one pair of functions round-trips all of
+# it through JSON, driven by the field annotations.
+
+def to_plain(value: Any) -> Any:
+    """A dataclass tree as JSON-ready lists, dicts and scalars."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: to_plain(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [to_plain(item) for item in value]
+    if isinstance(value, frozenset):
+        return sorted(to_plain(item) for item in value)
+    if isinstance(value, dict):
+        return {str(key): to_plain(item) for key, item in value.items()}
+    return value
+
+
+def from_plain(kind: Any, raw: Any) -> Any:
+    """Inverse of :func:`to_plain` for a value annotated as ``kind``.
+
+    Malformed input raises ``KeyError``/``TypeError``/``ValueError``,
+    which the project cache treats as a miss.
+    """
+    return _decoder(kind)(raw)
+
+
+@functools.lru_cache(maxsize=None)
+def _decoder(kind: Any) -> Callable[[Any], Any]:
+    """A decoding function for ``kind``, built once per type (the warm
+    lint path decodes every cached entry through these)."""
+    if dataclasses.is_dataclass(kind):
+        module = vars(sys.modules[kind.__module__])
+        hints = typing.get_type_hints(kind, module)
+        fields = [(f.name, _decoder(hints[f.name]))
+                  for f in dataclasses.fields(kind) if f.init]
+        return lambda raw: kind(**{name: decode(raw[name])
+                                   for name, decode in fields})
+    origin = typing.get_origin(kind)
+    variadic = Ellipsis in typing.get_args(kind)
+    args = [_decoder(arg) for arg in typing.get_args(kind)
+            if arg is not type(None) and arg is not Ellipsis]
+    if origin is typing.Union:  # Optional[X]
+        return lambda raw: None if raw is None else args[0](raw)
+    if origin in (list, frozenset) or (origin is tuple and variadic):
+        build = typing.cast(Callable[[Any], Any], origin)
+        return lambda raw: build(args[0](item) for item in raw)
+    if origin is tuple:  # fixed length
+
+        def fixed(raw: Any) -> Any:
+            if len(raw) != len(args):
+                raise ValueError(f"expected {len(args)} items: {raw!r}")
+            return tuple(decode(item) for decode, item in zip(args, raw))
+        return fixed
+    if origin is dict:
+        return lambda raw: {args[0](key): args[1](item)
+                            for key, item in raw.items()}
+    if kind in (int, str, bool):
+
+        def scalar(raw: Any) -> Any:
+            if not isinstance(raw, (int, str, bool)):
+                raise TypeError(f"expected {kind.__name__}: {raw!r}")
+            return kind(raw)
+        return scalar
+    raise TypeError(f"no codec for {kind!r}")
 
 
 def suppressed_lines(source: str) -> Dict[int, Optional[FrozenSet[str]]]:
@@ -293,15 +356,3 @@ def apply_suppressions(source: str,
             continue
         kept.append(violation)
     return kept
-
-
-def checker_classes() -> List[Type[Checker]]:
-    """All registered checker classes (imported lazily to avoid cycles)."""
-    from .docstrings import ModuleDocstringChecker
-    from .hygiene import HotPathClockChecker, MutableDefaultChecker
-    from .parallel import PoolBoundaryChecker
-    from .rng import RngDisciplineChecker
-
-    return [RngDisciplineChecker, PoolBoundaryChecker,
-            HotPathClockChecker, MutableDefaultChecker,
-            ModuleDocstringChecker]

@@ -13,9 +13,14 @@ this module two questions about each:
   the RA501 race detector), and the file's ``# repro: noqa`` map so
   project rules can honour suppressions without re-reading source.
 
-Facts are plain data (JSON round-trippable) because the project cache
-persists them keyed by content hash; a warm run rebuilds the call graph
-from cached facts without re-parsing unchanged files.
+Facts are plain dataclasses (round-tripped by
+:func:`~repro.analysis.base.to_plain`/``from_plain``) because the
+project cache persists them keyed by content hash; a warm run rebuilds
+the call graph from cached facts without re-parsing unchanged files.
+Functions come from the module's :class:`~repro.analysis.ir.ModuleIR`
+grouping; each function's facts are collected breadth-first over its
+whole body (nested defs and lambdas included), which is the order the
+dispatch and write records keep.
 
 The call graph is *conservative* in the usual static-analysis sense:
 edges exist only where a callee is resolvable by name (module-level
@@ -31,22 +36,16 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import (Any, Dict, FrozenSet, List, Optional, Sequence, Set,
+                    Tuple)
 
-from .base import suppressed_lines
+from .base import Violation, name_chain, suppressed_lines
+from .checkers import DISPATCH_ALWAYS, DISPATCH_POOLISH, receiver_is_poolish
+from .ir import ModuleIR
 
-#: attribute calls always treated as crossing a process-pool boundary
-#: (mirrors ``parallel.py``'s single-file RA101/RA102 heuristics)
-_DISPATCH_ALWAYS: FrozenSet[str] = frozenset({
-    "submit", "apply", "apply_async", "imap", "imap_unordered",
-    "starmap", "starmap_async", "map_async",
-})
-
-#: ``.map`` only counts for pool-ish receivers (it is too common an API)
-_DISPATCH_POOLISH: FrozenSet[str] = frozenset({"map"})
-
-#: method names that mutate the receiver in place
-_MUTATING_METHODS: FrozenSet[str] = frozenset({
+#: method names that mutate the receiver in place (RA501 here, RA502 in
+#: ``locks.py``)
+MUTATING_METHODS: FrozenSet[str] = frozenset({
     "append", "extend", "insert", "add", "update", "setdefault",
     "pop", "popitem", "remove", "discard", "clear", "appendleft",
     "extendleft",
@@ -61,15 +60,6 @@ class ImportFact:
     lineno: int
     col: int
 
-    def to_json(self) -> Dict[str, object]:
-        return {"target": self.target, "lineno": self.lineno,
-                "col": self.col}
-
-    @classmethod
-    def from_json(cls, raw: Mapping[str, object]) -> "ImportFact":
-        return cls(str(raw["target"]), int(raw["lineno"]),  # type: ignore[arg-type]
-                   int(raw["col"]))  # type: ignore[arg-type]
-
 
 @dataclass(frozen=True)
 class WriteFact:
@@ -79,15 +69,6 @@ class WriteFact:
     kind: str       # "global-assign" | "mutation" | "class-attr"
     lineno: int
     col: int
-
-    def to_json(self) -> Dict[str, object]:
-        return {"target": self.target, "kind": self.kind,
-                "lineno": self.lineno, "col": self.col}
-
-    @classmethod
-    def from_json(cls, raw: Mapping[str, object]) -> "WriteFact":
-        return cls(str(raw["target"]), str(raw["kind"]),
-                   int(raw["lineno"]), int(raw["col"]))  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -99,15 +80,6 @@ class DispatchFact:
     lineno: int
     col: int
 
-    def to_json(self) -> Dict[str, object]:
-        return {"callee": self.callee, "how": self.how,
-                "lineno": self.lineno, "col": self.col}
-
-    @classmethod
-    def from_json(cls, raw: Mapping[str, object]) -> "DispatchFact":
-        return cls(str(raw["callee"]), str(raw["how"]),
-                   int(raw["lineno"]), int(raw["col"]))  # type: ignore[arg-type]
-
 
 @dataclass
 class FunctionFacts:
@@ -117,25 +89,6 @@ class FunctionFacts:
     calls: Tuple[str, ...] = ()         # dotted callee candidates
     writes: Tuple[WriteFact, ...] = ()
     dispatches: Tuple[DispatchFact, ...] = ()
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "qualname": self.qualname,
-            "calls": list(self.calls),
-            "writes": [w.to_json() for w in self.writes],
-            "dispatches": [d.to_json() for d in self.dispatches],
-        }
-
-    @classmethod
-    def from_json(cls, raw: Mapping[str, object]) -> "FunctionFacts":
-        return cls(
-            qualname=str(raw["qualname"]),
-            calls=tuple(str(c) for c in raw.get("calls", ())),  # type: ignore[union-attr]
-            writes=tuple(WriteFact.from_json(w)
-                         for w in raw.get("writes", ())),  # type: ignore[union-attr]
-            dispatches=tuple(DispatchFact.from_json(d)
-                             for d in raw.get("dispatches", ())),  # type: ignore[union-attr]
-        )
 
 
 @dataclass
@@ -154,46 +107,16 @@ class ModuleFacts:
     suppressed: Dict[int, Optional[FrozenSet[str]]] = field(
         default_factory=dict)
 
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "module": self.module,
-            "display_path": self.display_path,
-            "internal_imports": [i.to_json()
-                                 for i in self.internal_imports],
-            "functions": {name: fn.to_json()
-                          for name, fn in self.functions.items()},
-            "defs": dict(self.defs),
-            "symbol_imports": dict(self.symbol_imports),
-            "suppressed": {str(line): (None if codes is None
-                                       else sorted(codes))
-                           for line, codes in self.suppressed.items()},
-        }
-
-    @classmethod
-    def from_json(cls, raw: Mapping[str, object]) -> "ModuleFacts":
-        suppressed: Dict[int, Optional[FrozenSet[str]]] = {}
-        for line, codes in dict(raw.get("suppressed", {})).items():  # type: ignore[arg-type]
-            suppressed[int(line)] = (None if codes is None
-                                     else frozenset(str(c) for c in codes))
-        return cls(
-            module=str(raw["module"]),
-            display_path=str(raw["display_path"]),
-            internal_imports=tuple(
-                ImportFact.from_json(i)
-                for i in raw.get("internal_imports", ())),  # type: ignore[union-attr]
-            functions={str(k): FunctionFacts.from_json(v)
-                       for k, v in dict(raw.get("functions", {})).items()},  # type: ignore[arg-type]
-            defs={str(k): str(v)
-                  for k, v in dict(raw.get("defs", {})).items()},  # type: ignore[arg-type]
-            symbol_imports={str(k): str(v) for k, v in
-                            dict(raw.get("symbol_imports", {})).items()},  # type: ignore[arg-type]
-            suppressed=suppressed,
-        )
-
     def is_suppressed(self, lineno: int, code: str) -> bool:
         """Does the noqa map silence ``code`` on ``lineno``?"""
         codes = self.suppressed.get(lineno, frozenset())
         return codes is None or code in codes
+
+    def violation(self, at: Any, code: str, message: str) -> Violation:
+        """A ``code`` finding in this module at ``at.lineno``/``at.col``
+        (a site, fact, or anything else carrying a source position)."""
+        return Violation(path=self.display_path, line=at.lineno,
+                         col=at.col, code=code, message=message)
 
 
 # -- module naming ------------------------------------------------------------
@@ -293,19 +216,14 @@ class _Extractor:
 
     def _dotted_for(self, node: ast.expr) -> Optional[str]:
         """Fully-dotted candidate for a Name/Attribute expression."""
-        parts: List[str] = []
-        cursor = node
-        while isinstance(cursor, ast.Attribute):
-            parts.append(cursor.attr)
-            cursor = cursor.value
-        if not isinstance(cursor, ast.Name):
+        chain = name_chain(node)
+        if chain is None:
             return None
-        base = self.import_bindings.get(cursor.id)
+        base = self.import_bindings.get(chain[0])
         if base is not None:
-            return ".".join([base] + list(reversed(parts)))
-        if cursor.id in self.defs:
-            return ".".join([self.module, cursor.id]
-                            + list(reversed(parts)))
+            return ".".join([base] + chain[1:])
+        if chain[0] in self.defs:
+            return ".".join([self.module] + chain)
         return None
 
     def _callee_candidate(self, node: ast.expr,
@@ -396,7 +314,7 @@ class _Extractor:
                 return f"{base.id}.{node.attr}"
         return None
 
-    def _walk_function(self, fn_body: List[ast.stmt], qualname: str,
+    def _walk_function(self, fn_body: Sequence[ast.stmt], qualname: str,
                        owner_class: Optional[str],
                        local: Set[str],
                        declared_global: Set[str]) -> FunctionFacts:
@@ -453,7 +371,7 @@ class _Extractor:
                 calls.append(candidate)
             # mutating method on module-level state: X.append(...) etc.
             if isinstance(node.func, ast.Attribute) \
-                    and node.func.attr in _MUTATING_METHODS:
+                    and node.func.attr in MUTATING_METHODS:
                 base = node.func.value
                 if isinstance(base, ast.Name) and self._is_module_state(
                         base.id, local):
@@ -463,9 +381,9 @@ class _Extractor:
             # pool dispatches
             if isinstance(node.func, ast.Attribute):
                 attr = node.func.attr
-                poolish = attr in _DISPATCH_POOLISH and _receiver_is_poolish(
+                poolish = attr in DISPATCH_POOLISH and receiver_is_poolish(
                     node.func.value)
-                if (attr in _DISPATCH_ALWAYS or poolish) and node.args:
+                if (attr in DISPATCH_ALWAYS or poolish) and node.args:
                     callee = self._callee_candidate(node.args[0],
                                                     owner_class)
                     if callee is not None:
@@ -503,84 +421,31 @@ class _Extractor:
 
     # -- the module walk -----------------------------------------------------
 
-    def extract(self, tree: ast.Module, source: str,
+    def extract(self, ir: ModuleIR, source: str,
                 display_path: str) -> ModuleFacts:
-        # pass 1: module-scope bindings (imports, defs, assignments) so
+        # module-scope bindings (imports, defs, assignments) first, so
         # function walks can classify names
-        module_stmts: List[ast.stmt] = []
-
-        def scan_top(body: List[ast.stmt]) -> None:
-            for node in body:
-                if isinstance(node, (ast.Import, ast.ImportFrom)):
-                    self._collect_import(node, module_scope=True)
-                    module_stmts.append(node)
-                elif isinstance(node, (ast.FunctionDef,
-                                       ast.AsyncFunctionDef)):
-                    self.defs[node.name] = "function"
-                    self.module_level_names.add(node.name)
-                elif isinstance(node, ast.ClassDef):
-                    self.defs[node.name] = "class"
-                    self.module_level_names.add(node.name)
-                elif isinstance(node, ast.If):
-                    if _is_type_checking(node.test):
-                        # bindings still resolve names; the imports are
-                        # not runtime layer edges
-                        for sub in ast.walk(node):
-                            if isinstance(sub, (ast.Import,
-                                                ast.ImportFrom)):
-                                self._collect_import(sub,
-                                                     module_scope=False)
-                    else:
-                        scan_top(node.body)
-                        scan_top(node.orelse)
-                elif isinstance(node, ast.Try):
-                    # `try: import x / except ImportError:` fallbacks
-                    scan_top(node.body)
-                    for handler in node.handlers:
-                        scan_top(handler.body)
-                    scan_top(node.orelse)
-                    scan_top(node.finalbody)
-                else:
-                    for target in ast.walk(node):
-                        if isinstance(target, ast.Name) and isinstance(
-                                target.ctx, ast.Store):
-                            self.module_level_names.add(target.id)
-                    module_stmts.append(node)
-
-        scan_top(tree.body)
+        self.defs = dict(ir.defs)
+        self.module_level_names.update(ir.defs)
+        for node, module_scope in ir.scope_imports:
+            self._collect_import(node, module_scope=module_scope)
+        for stmt in ir.module_body:
+            for target in ast.walk(stmt):
+                if isinstance(target, ast.Name) and isinstance(
+                        target.ctx, ast.Store):
+                    self.module_level_names.add(target.id)
 
         functions: Dict[str, FunctionFacts] = {}
-
-        def add_function(fn: ast.stmt, qualname: str,
-                         owner_class: Optional[str]) -> None:
-            assert isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-            local, declared_global = self._local_bindings(fn)
-            functions[qualname] = self._walk_function(
-                fn.body, qualname, owner_class, local, declared_global)
-
-        def scan_defs(body: List[ast.stmt]) -> None:
-            for node in body:
-                if isinstance(node, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef)):
-                    add_function(node, node.name, None)
-                elif isinstance(node, ast.ClassDef):
-                    for item in node.body:
-                        if isinstance(item, (ast.FunctionDef,
-                                             ast.AsyncFunctionDef)):
-                            add_function(item,
-                                         f"{node.name}.{item.name}",
-                                         node.name)
-                elif isinstance(node, ast.If) and not _is_type_checking(
-                        node.test):
-                    scan_defs(node.body)
-                    scan_defs(node.orelse)
-
-        scan_defs(tree.body)
-
+        for fn in ir.functions:
+            assert fn.node is not None
+            local, declared_global = self._local_bindings(fn.node)
+            functions[fn.qualname] = self._walk_function(
+                fn.body, fn.qualname, fn.owner_class, local,
+                declared_global)
         # module-level statements form a pseudo-function so top-level
         # dispatch sites (scripts, examples) still seed reachability
         functions["<module>"] = self._walk_function(
-            module_stmts, "<module>", None, set(), set())
+            ir.module_body, "<module>", None, set(), set())
 
         return ModuleFacts(
             module=self.module,
@@ -593,36 +458,19 @@ class _Extractor:
         )
 
 
-def _is_type_checking(test: ast.expr) -> bool:
-    if isinstance(test, ast.Name):
-        return test.id == "TYPE_CHECKING"
-    if isinstance(test, ast.Attribute):
-        return test.attr == "TYPE_CHECKING"
-    return False
-
-
-def _receiver_is_poolish(node: ast.expr) -> bool:
-    name: Optional[str] = None
-    if isinstance(node, ast.Name):
-        name = node.id
-    elif isinstance(node, ast.Attribute):
-        name = node.attr
-    elif isinstance(node, ast.Call):
-        return _receiver_is_poolish(node.func)
-    if name is None:
-        return False
-    lowered = name.lower()
-    return "pool" in lowered or "executor" in lowered
-
-
 def extract_facts(tree: ast.Module, source: str, path: Path,
-                  display_path: str,
-                  internal_roots: FrozenSet[str]) -> ModuleFacts:
-    """Extract :class:`ModuleFacts` from one parsed module."""
+                  display_path: str, internal_roots: FrozenSet[str],
+                  ir: Optional[ModuleIR] = None) -> ModuleFacts:
+    """Extract :class:`ModuleFacts` from one parsed module.
+
+    ``ir`` is the module's :class:`ModuleIR` when the caller already
+    built one (project mode does); otherwise it is built here.
+    """
     module = module_name_for(path)
     extractor = _Extractor(module, path.name == "__init__.py",
                            internal_roots)
-    return extractor.extract(tree, source, display_path)
+    return extractor.extract(ir if ir is not None else ModuleIR(tree),
+                             source, display_path)
 
 
 # -- the linked project graph -------------------------------------------------
@@ -657,24 +505,15 @@ class ProjectGraph:
         """
         if _depth > 8:
             return None
-        parts = dotted.split(".")
-        for cut in range(len(parts) - 1, 0, -1):
-            prefix = ".".join(parts[:cut])
-            module = self.modules.get(prefix)
-            if module is None:
-                continue
-            rest = parts[cut:]
-            return self._resolve_in_module(module, rest, _depth)
-        return None
-
-    def _resolve_in_module(self, module: ModuleFacts, rest: List[str],
-                           depth: int) -> Optional[FunctionKey]:
+        found = self.locate(dotted)
+        if found is None:
+            return None
+        module, rest = found
         name = ".".join(rest)
         if name in module.functions:
             return (module.module, name)
         head = rest[0]
-        kind = module.defs.get(head)
-        if kind == "class":
+        if module.defs.get(head) == "class":
             init = f"{head}.__init__"
             if len(rest) == 1 and init in module.functions:
                 return (module.module, init)
@@ -685,7 +524,16 @@ class ProjectGraph:
             return None
         if head in module.symbol_imports:
             chained = ".".join([module.symbol_imports[head]] + rest[1:])
-            return self.resolve_callable(chained, depth + 1)
+            return self.resolve_callable(chained, _depth + 1)
+        return None
+
+    def locate(self, dotted: str) -> Optional[Tuple[ModuleFacts, List[str]]]:
+        """The longest known module prefix of ``dotted``, and the rest."""
+        parts = dotted.split(".")
+        for cut in range(len(parts) - 1, 0, -1):
+            module = self.modules.get(".".join(parts[:cut]))
+            if module is not None:
+                return module, parts[cut:]
         return None
 
     def dispatch_roots(self) -> List[Tuple[FunctionKey, ModuleFacts,

@@ -17,8 +17,9 @@ checkable:
        parallel-pipeline = ["repro.perf.parallel._aggregate_shard"]
        snapshot-restore  = ["repro.store"]
 
-2. :func:`extract_det_sites` scans each module once (cacheable, plain
-   data) for *sites* — expressions whose value or visible effect can
+2. :class:`DetBuilder` reads each module's site walk
+   (:mod:`repro.analysis.ir`) once (cacheable, plain data) for
+   *sites* — expressions whose value or visible effect can
    depend on iteration order, float summation order, platform dtype
    defaults, or ambient process state;
 
@@ -60,15 +61,11 @@ from pathlib import Path
 from typing import (Dict, FrozenSet, List, Mapping, Optional, Sequence,
                     Set, Tuple)
 
-from .base import ImportMap, Violation
+from .base import Violation
 from .callgraph import FunctionKey, ProjectGraph
-from .hygiene import _WALL_CLOCK
-from .layers import _fallback_read_table
-
-try:  # Python 3.11+
-    import tomllib
-except ModuleNotFoundError:  # pragma: no cover - exercised on py3.9 CI
-    tomllib = None  # type: ignore[assignment]
+from .checkers import WALL_CLOCK
+from .config import find_table, read_table
+from .ir import ModuleIR, SiteBuilder, snippet
 
 
 class DeterminismConfigError(ValueError):
@@ -126,58 +123,17 @@ def read_determinism_table(pyproject: Path) -> Optional[DeterminismConfig]:
     Returns None when the file has no such table; raises
     :class:`DeterminismConfigError` when it exists but is invalid.
     """
-    source = str(pyproject)
-    text = pyproject.read_text(encoding="utf-8")
-    raw: Optional[Mapping[str, object]]
-    if tomllib is not None:
-        data = tomllib.loads(text)
-        tool = data.get("tool", {})
-        repro = tool.get("repro", {}) if isinstance(tool, dict) else {}
-        det = repro.get("determinism") if isinstance(repro, dict) else None
-        raw = det if isinstance(det, dict) else None
-    else:  # pragma: no cover - py<3.11 only
-        base = _fallback_read_table(text, source, "tool.repro.determinism")
-        nested = _fallback_read_table(
-            text, source, "tool.repro.determinism.contracts")
-        if base is None and nested is None:
-            raw = None
-        else:
-            merged: Dict[str, object] = dict(base or {})
-            if nested is not None:
-                merged["contracts"] = dict(nested)
-            raw = merged
-    if raw is None:
-        return None
-    return _config_from_mapping(raw, source)
+    return read_table(pyproject, "determinism", _config_from_mapping,
+                      DeterminismConfigError)
 
 
 def find_determinism_config(start: Path) -> Optional[DeterminismConfig]:
     """Walk up from ``start`` to the nearest determinism table."""
-    cursor = start.resolve()
-    if cursor.is_file():
-        cursor = cursor.parent
-    while True:
-        candidate = cursor / "pyproject.toml"
-        if candidate.is_file():
-            config = read_determinism_table(candidate)
-            if config is not None:
-                return config
-        parent = cursor.parent
-        if parent == cursor:
-            return None
-        cursor = parent
+    return find_table(start, "determinism", _config_from_mapping,
+                      DeterminismConfigError)
 
 
 # -- sites --------------------------------------------------------------------
-
-#: autofix recipes a site may carry (applied by ``fixer.py``)
-FIX_KINDS: FrozenSet[str] = frozenset({
-    "wrap-sorted",     # insert sorted( ... ) around the span; a payload
-                       # becomes an extra sorted() argument (scandir key)
-    "exact-total",     # replace the span (the `sum` name) with exact_total
-    "dtype-replace",   # replace the span (a dtype value) with the payload
-    "dtype-add",       # insert the payload at the span start (zero-width)
-})
 
 #: sort key for scandir-derived iterables: ``os.DirEntry`` defines no
 #: ``<``, so a bare ``sorted(...)`` over one raises TypeError
@@ -198,40 +154,16 @@ class DetSite:
     lineno: int
     col: int             # 1-based, like Violation
     detail: str          # message fragment describing the hazard
+    #: autofix recipe applied by ``fixer.py``: "wrap-sorted" (insert
+    #: sorted( ... ) around the span; a payload becomes an extra sorted()
+    #: argument), "exact-total" (replace the span, the `sum` name, with
+    #: exact_total), "dtype-replace" (replace the span, a dtype value,
+    #: with the payload) or "dtype-add" (insert the payload at the span)
     fix_kind: Optional[str] = None
     #: (lineno, col_offset, end_lineno, end_col_offset) — AST positions,
     #: 0-based columns; the region the fix edits (zero-width for inserts)
     span: Optional[Tuple[int, int, int, int]] = None
     payload: str = ""
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "function": self.function,
-            "code": self.code,
-            "lineno": self.lineno,
-            "col": self.col,
-            "detail": self.detail,
-            "fix_kind": self.fix_kind,
-            "span": None if self.span is None else list(self.span),
-            "payload": self.payload,
-        }
-
-    @classmethod
-    def from_json(cls, raw: Mapping[str, object]) -> "DetSite":
-        span = raw.get("span")
-        return cls(
-            function=str(raw["function"]),
-            code=str(raw["code"]),
-            lineno=int(raw["lineno"]),  # type: ignore[arg-type]
-            col=int(raw["col"]),  # type: ignore[arg-type]
-            detail=str(raw["detail"]),
-            fix_kind=(None if raw.get("fix_kind") is None
-                      else str(raw["fix_kind"])),
-            span=(None if span is None else (
-                int(span[0]), int(span[1]),  # type: ignore[index]
-                int(span[2]), int(span[3]))),  # type: ignore[index]
-            payload=str(raw.get("payload", "")),
-        )
 
 
 # -- extraction ---------------------------------------------------------------
@@ -270,32 +202,25 @@ _PLATFORM_INT_DTYPES: FrozenSet[str] = frozenset({
     "numpy.int_", "numpy.intp", "numpy.intc", "numpy.long",
 })
 
-#: ambient-state calls beyond the wall clock (RA704, report-only)
-_AMBIENT_ENV: FrozenSet[str] = frozenset({
-    "os.getenv", "os.environ.get",
-})
-_AMBIENT_UUID: FrozenSet[str] = frozenset({
-    "uuid.uuid1", "uuid.uuid4",
-})
-_AMBIENT_RANDOM: FrozenSet[str] = frozenset({
-    "random.random", "random.randint", "random.randrange",
-    "random.choice", "random.choices", "random.shuffle",
-    "random.sample", "random.uniform", "random.gauss",
-    "random.getrandbits",
-    "numpy.random.rand", "numpy.random.randn", "numpy.random.randint",
-    "numpy.random.random",
-})
+#: ambient-state calls (RA704, report-only): dotted names -> detail
+_AMBIENT: Tuple[Tuple[FrozenSet[str], str], ...] = (
+    (WALL_CLOCK, "wall-clock read `{}(...)` makes output depend on "
+                  "when the run happened"),
+    (frozenset({"os.getenv", "os.environ.get"}),
+     "`{}(...)` reads ambient process environment"),
+    (frozenset({"uuid.uuid1", "uuid.uuid4"}),
+     "`{}()` draws from OS entropy/clock"),
+    (frozenset({
+        "random.random", "random.randint", "random.randrange",
+        "random.choice", "random.choices", "random.shuffle",
+        "random.sample", "random.uniform", "random.gauss",
+        "random.getrandbits",
+        "numpy.random.rand", "numpy.random.randn", "numpy.random.randint",
+        "numpy.random.random"}),
+     "`{}(...)` draws from process-global RNG state"),
+)
 
 _COMPREHENSIONS = (ast.ListComp, ast.GeneratorExp, ast.DictComp)
-
-
-def _snippet(node: ast.expr, limit: int = 40) -> str:
-    """Short source rendering of an expression for messages."""
-    try:
-        text = ast.unparse(node)
-    except Exception:  # pragma: no cover - unparse is total on 3.9+
-        text = "<expr>"
-    return text if len(text) <= limit else text[:limit - 3] + "..."
 
 
 def _span_of(node: ast.expr) -> Optional[Tuple[int, int, int, int]]:
@@ -326,20 +251,21 @@ def _contains_id_call(node: ast.expr) -> bool:
     return False
 
 
-class _FunctionDetScanner:
-    """Order-aware walk of one function body collecting :class:`DetSite`.
+class DetBuilder(SiteBuilder):
+    """Collects :class:`DetSite` records from the module's site walk.
 
-    Tracks which local names are currently bound to unordered values
-    (statement order matters: ``xs = set(...)`` then ``xs = sorted(xs)``
-    clears the taint), so the walk is hand-rolled rather than a plain
-    ``ast.walk``.
+    Tracks which local names are currently bound to unordered values in
+    statement order (``xs = set(...)`` then ``xs = sorted(xs)`` clears
+    the taint).
     """
 
-    def __init__(self, qualname: str, imports: ImportMap,
-                 sites: List[DetSite]) -> None:
-        self.qualname = qualname
-        self.imports = imports
-        self.sites = sites
+    skip_roles = frozenset({"annotation"})
+
+    def __init__(self, ir: ModuleIR) -> None:
+        self.sites: List[DetSite] = []
+        super().__init__(ir)
+
+    def fresh(self) -> None:
         self.unordered: Set[str] = set()
         #: names currently bound to scandir results (DirEntry streams)
         self.scandir: Set[str] = set()
@@ -362,9 +288,6 @@ class _FunctionDetScanner:
 
     # -- value-kind inference ------------------------------------------------
 
-    def _dotted(self, node: ast.expr) -> Optional[str]:
-        return self.imports.resolve_attribute(node)
-
     def is_unordered(self, node: ast.expr) -> bool:
         """Conservatively: does this expression yield in arbitrary order?"""
         if isinstance(node, (ast.Set, ast.SetComp)):
@@ -385,8 +308,7 @@ class _FunctionDetScanner:
                     return True
                 if func.id == "sorted":
                     return False
-            dotted = self._dotted(func)
-            if dotted in _UNORDERED_PRODUCERS:
+            if self.ir.dotted(func) in _UNORDERED_PRODUCERS:
                 return True
             if isinstance(func, ast.Attribute):
                 if func.attr in _UNORDERED_METHODS:
@@ -414,7 +336,7 @@ class _FunctionDetScanner:
                     and func.id in ("set", "frozenset", "list",
                                     "tuple", "iter", "reversed")):
                 return self.is_scandir(node.args[0])
-            if self._dotted(func) == "os.scandir":
+            if self.ir.dotted(func) == "os.scandir":
                 return True
             if isinstance(func, ast.Attribute) and func.attr == "scandir":
                 return True
@@ -436,10 +358,6 @@ class _FunctionDetScanner:
 
     # -- statements ----------------------------------------------------------
 
-    def scan(self, body: Sequence[ast.stmt]) -> None:
-        for stmt in body:
-            self._stmt(stmt)
-
     def _bind(self, target: ast.expr, unordered: bool,
               scandir: bool = False) -> None:
         if isinstance(target, ast.Name):
@@ -457,69 +375,18 @@ class _FunctionDetScanner:
         elif isinstance(target, ast.Starred):
             self._bind(target.value, False)
 
-    def _stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, ast.Assign):
-            self._expr(stmt.value)
-            unordered = self.is_unordered(stmt.value)
-            scandir = self.is_scandir(stmt.value)
-            for target in stmt.targets:
-                if not isinstance(target, ast.Name):
-                    self._expr(target)
-                self._bind(target, unordered, scandir)
-        elif isinstance(stmt, ast.AnnAssign):
-            if stmt.value is not None:
-                self._expr(stmt.value)
-                self._bind(stmt.target, self.is_unordered(stmt.value),
-                           self.is_scandir(stmt.value))
-            if not isinstance(stmt.target, ast.Name):
-                self._expr(stmt.target)
-        elif isinstance(stmt, ast.AugAssign):
-            self._expr(stmt.value)
-            if not isinstance(stmt.target, ast.Name):
-                self._expr(stmt.target)
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self._loop(stmt)
-        elif isinstance(stmt, ast.While):
-            self._expr(stmt.test)
-            self.scan(stmt.body)
-            self.scan(stmt.orelse)
-        elif isinstance(stmt, ast.If):
-            self._expr(stmt.test)
-            self.scan(stmt.body)
-            self.scan(stmt.orelse)
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                self._expr(item.context_expr)
-                if item.optional_vars is not None:
-                    self._bind(item.optional_vars, False)
-            self.scan(stmt.body)
-        elif isinstance(stmt, ast.Try):
-            self.scan(stmt.body)
-            for handler in stmt.handlers:
-                self.scan(handler.body)
-            self.scan(stmt.orelse)
-            self.scan(stmt.finalbody)
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            # nested defs: sites attribute to the enclosing function so
-            # call-graph reachability (which only knows top-level names)
-            # still covers them; taint does not flow across the boundary
-            nested = _FunctionDetScanner(self.qualname, self.imports,
-                                         self.sites)
-            nested.scan(stmt.body)
-        elif isinstance(stmt, ast.ClassDef):
-            for item in stmt.body:
-                if isinstance(item, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef)):
-                    nested = _FunctionDetScanner(
-                        self.qualname, self.imports, self.sites)
-                    nested.scan(item.body)
-        else:
-            for child in ast.iter_child_nodes(stmt):
-                if isinstance(child, ast.expr):
-                    self._expr(child)
+    def assign(self, stmt: ast.stmt, targets: Sequence[ast.expr],
+               value: ast.expr) -> None:
+        unordered = self.is_unordered(value)
+        scandir = self.is_scandir(value)
+        for target in targets:
+            self._bind(target, unordered, scandir)
 
-    def _loop(self, stmt: "ast.For | ast.AsyncFor") -> None:
-        self._expr(stmt.iter)
+    def with_bound(self, item: ast.withitem, lock: Optional[str]) -> None:
+        if item.optional_vars is not None:
+            self._bind(item.optional_vars, False)
+
+    def loop(self, stmt: "ast.For | ast.AsyncFor") -> None:
         if self.is_unordered(stmt.iter):
             code = self._classify_loop_body(stmt.body)
             if code is not None:
@@ -528,13 +395,11 @@ class _FunctionDetScanner:
                         "order-dependent output (append/store/yield)")
                 self._site(
                     stmt.iter, code,
-                    detail=(f"loop over unordered `{_snippet(stmt.iter)}` "
+                    detail=(f"loop over unordered `{snippet(stmt.iter)}` "
                             f"feeds {noun}"),
                     fix_kind="wrap-sorted", span=_span_of(stmt.iter),
                     payload=self._sorted_payload(stmt.iter))
         self._bind(stmt.target, False)
-        self.scan(stmt.body)
-        self.scan(stmt.orelse)
 
     @staticmethod
     def _classify_loop_body(body: Sequence[ast.stmt]) -> Optional[str]:
@@ -568,8 +433,8 @@ class _FunctionDetScanner:
 
     # -- expressions ---------------------------------------------------------
 
-    def _expr(self, node: ast.expr) -> None:
-        for sub in ast.walk(node):
+    def expr(self, nodes: Sequence[ast.AST]) -> None:
+        for sub in nodes:
             if isinstance(sub, ast.Call):
                 self._call(sub)
             elif isinstance(sub, _COMPREHENSIONS):
@@ -589,7 +454,7 @@ class _FunctionDetScanner:
             self._site(
                 arg, code,
                 detail=(f"`{consumer}` consumes unordered "
-                        f"`{_snippet(arg)}`"),
+                        f"`{snippet(arg)}`"),
                 fix_kind="wrap-sorted", span=_span_of(arg),
                 payload=self._sorted_payload(arg))
             return True
@@ -599,7 +464,7 @@ class _FunctionDetScanner:
             self._site(
                 gen_iter, code,
                 detail=(f"`{consumer}` consumes a generator over "
-                        f"unordered `{_snippet(gen_iter)}`"),
+                        f"unordered `{snippet(gen_iter)}`"),
                 fix_kind="wrap-sorted", span=_span_of(gen_iter),
                 payload=self._sorted_payload(gen_iter))
             return True
@@ -607,7 +472,7 @@ class _FunctionDetScanner:
 
     def _call(self, node: ast.Call) -> None:
         func = node.func
-        dotted = self._dotted(func)
+        dotted = self.ir.dotted(func)
         if isinstance(func, ast.Name) and node.args:
             if func.id == "sum":
                 arg = node.args[0]
@@ -623,7 +488,7 @@ class _FunctionDetScanner:
                     bare = len(node.args) == 1 and not node.keywords
                     self._site(
                         node, "RA702",
-                        detail=(f"`sum({_snippet(arg)})` accumulates "
+                        detail=(f"`sum({snippet(arg)})` accumulates "
                                 "floats in arbitrary order"
                                 + ("" if bare else
                                    "; the start argument rules out the "
@@ -654,7 +519,7 @@ class _FunctionDetScanner:
                 self._site(
                     gen.iter, "RA701",
                     detail=(f"{kind} comprehension iterates unordered "
-                            f"`{_snippet(gen.iter)}`"),
+                            f"`{snippet(gen.iter)}`"),
                     fix_kind="wrap-sorted", span=_span_of(gen.iter),
                     payload=self._sorted_payload(gen.iter))
                 return
@@ -665,7 +530,7 @@ class _FunctionDetScanner:
                 node, "RA704",
                 detail="`id()`-keyed lookup depends on allocation "
                        "addresses, which differ every run")
-        dotted = self._dotted(node.value)
+        dotted = self.ir.dotted(node.value)
         if dotted == "os.environ":
             self._site(
                 node, "RA704",
@@ -680,8 +545,8 @@ class _FunctionDetScanner:
         local name binds the numpy module, or None (report-only fix).
         """
         if isinstance(func, ast.Attribute):
-            return _snippet(func.value, limit=120)
-        for local, target in self.imports.modules.items():
+            return snippet(func.value, limit=120)
+        for local, target in self.ir.imports.modules.items():
             if target == "numpy":
                 return local
         return None
@@ -716,7 +581,7 @@ class _FunctionDetScanner:
                     "leaves the dtype unpinned")
             else:
                 self._site(node, "RA703",
-                           detail=f"`{_snippet(node)}` without dtype= "
+                           detail=f"`{snippet(node)}` without dtype= "
                                   "infers a platform-dependent type")
         elif tail == "full":
             fill = node.args[1] if len(node.args) >= 2 else None
@@ -731,7 +596,7 @@ class _FunctionDetScanner:
                     "the platform C long)")
             else:
                 self._site(node, "RA703",
-                           detail=f"`{_snippet(node)}` without dtype= "
+                           detail=f"`{snippet(node)}` without dtype= "
                                   "infers a platform-dependent type")
         else:  # array / asarray / ascontiguousarray
             self._site(
@@ -743,7 +608,7 @@ class _FunctionDetScanner:
     def _numpy_dtype_value(self, node: ast.Call, tail: str,
                            alias: Optional[str],
                            value: ast.expr) -> None:
-        dotted = self._dotted(value)
+        dotted = self.ir.dotted(value)
         is_platform_int = (
             (isinstance(value, ast.Name) and value.id == "int")
             or (isinstance(value, ast.Constant) and value.value == "int")
@@ -753,7 +618,7 @@ class _FunctionDetScanner:
             payload = f"{alias}.int64" if alias else ""
             self._site(
                 node, "RA703",
-                detail=(f"`{tail}(..., dtype={_snippet(value)})` is the "
+                detail=(f"`{tail}(..., dtype={snippet(value)})` is the "
                         "platform C long (64-bit Linux, 32-bit Windows)"),
                 fix_kind="dtype-replace" if payload else None,
                 span=span, payload=payload)
@@ -810,67 +675,10 @@ class _FunctionDetScanner:
                     detail="`id()`-keyed lookup depends on allocation "
                            "addresses, which differ every run")
             return
-        if dotted in _WALL_CLOCK:
-            self._site(
-                node, "RA704",
-                detail=f"wall-clock read `{dotted}(...)` makes output "
-                       "depend on when the run happened")
-        elif dotted in _AMBIENT_ENV:
-            self._site(
-                node, "RA704",
-                detail=f"`{dotted}(...)` reads ambient process "
-                       "environment")
-        elif dotted in _AMBIENT_UUID:
-            self._site(
-                node, "RA704",
-                detail=f"`{dotted}()` draws from OS entropy/clock")
-        elif dotted in _AMBIENT_RANDOM:
-            self._site(
-                node, "RA704",
-                detail=f"`{dotted}(...)` draws from process-global "
-                       "RNG state")
-
-
-def _is_type_checking(test: ast.expr) -> bool:
-    if isinstance(test, ast.Name):
-        return test.id == "TYPE_CHECKING"
-    if isinstance(test, ast.Attribute):
-        return test.attr == "TYPE_CHECKING"
-    return False
-
-
-def extract_det_sites(tree: ast.Module) -> List[DetSite]:
-    """All determinism sites in one module, grouped by function.
-
-    Mirrors the call-graph extractor's notion of a "function" (top-level
-    defs, class methods, and a ``<module>`` pseudo-function for
-    module-level statements) so sites join cleanly against
-    :class:`~repro.analysis.callgraph.FunctionFacts` keys.
-    """
-    imports = ImportMap().collect(tree)
-    sites: List[DetSite] = []
-    module_stmts: List[ast.stmt] = []
-
-    def scan_body(body: Sequence[ast.stmt],
-                  owner_class: Optional[str]) -> None:
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = (node.name if owner_class is None
-                            else f"{owner_class}.{node.name}")
-                _FunctionDetScanner(qualname, imports,
-                                    sites).scan(node.body)
-            elif isinstance(node, ast.ClassDef) and owner_class is None:
-                scan_body(node.body, node.name)
-            elif isinstance(node, ast.If) and owner_class is None:
-                if not _is_type_checking(node.test):
-                    scan_body(node.body, None)
-                    scan_body(node.orelse, None)
-            elif owner_class is None:
-                module_stmts.append(node)
-
-    scan_body(tree.body, None)
-    _FunctionDetScanner("<module>", imports, sites).scan(module_stmts)
-    return sites
+        for names, detail in _AMBIENT:
+            if dotted in names:
+                self._site(node, "RA704", detail=detail.format(dotted))
+                return
 
 
 # -- the check ----------------------------------------------------------------
@@ -887,26 +695,21 @@ def _resolve_entry(graph: ProjectGraph, entry: str,
         return [(name, qualname)
                 for name in sorted(matches)
                 for qualname in sorted(graph.modules[name].functions)]
-    parts = entry.split(".")
-    for cut in range(len(parts) - 1, 0, -1):
-        prefix = ".".join(parts[:cut])
-        module = graph.modules.get(prefix)
-        if module is None:
-            continue
-        rest = parts[cut:]
-        if len(rest) == 1 and module.defs.get(rest[0]) == "class":
-            head = rest[0] + "."
-            return [(prefix, qualname)
-                    for qualname in sorted(module.functions)
-                    if qualname.startswith(head)]
-        name = ".".join(rest)
-        if name in module.functions:
-            return [(prefix, name)]
-        if rest[0] in module.symbol_imports:
-            chained = ".".join(
-                [module.symbol_imports[rest[0]]] + rest[1:])
-            return _resolve_entry(graph, chained, _depth + 1)
+    found = graph.locate(entry)
+    if found is None:
         return []
+    module, rest = found
+    if len(rest) == 1 and module.defs.get(rest[0]) == "class":
+        head = rest[0] + "."
+        return [(module.module, qualname)
+                for qualname in sorted(module.functions)
+                if qualname.startswith(head)]
+    name = ".".join(rest)
+    if name in module.functions:
+        return [(module.module, name)]
+    if rest[0] in module.symbol_imports:
+        chained = ".".join([module.symbol_imports[rest[0]]] + rest[1:])
+        return _resolve_entry(graph, chained, _depth + 1)
     return []
 
 
@@ -961,12 +764,11 @@ def check_determinism(
             contract, entry = roots[root]
             fix_note = (" (auto-fixable with --fix)"
                         if site.fix_kind is not None else "")
-            violations.append(Violation(
-                path=facts.display_path, line=site.lineno,
-                col=site.col, code=site.code,
-                message=(f"{site.detail} — on determinism contract "
-                         f"`{contract}` (reachable from `{entry}`); "
-                         f"{_REMEDIES[site.code]}{fix_note}")))
+            violations.append(facts.violation(
+                site, site.code,
+                (f"{site.detail} — on determinism contract "
+                 f"`{contract}` (reachable from `{entry}`); "
+                 f"{_REMEDIES[site.code]}{fix_note}")))
             if site.fix_kind is not None and site.span is not None:
                 fixable.append((facts.display_path, site))
     return violations, fixable

@@ -18,8 +18,9 @@ This module makes the protocol a contract:
        manifest  = ["serve.json", "MANIFEST.json"]
        artifacts = ["*.npz", "scenario.json"]
 
-2. :func:`extract_dura_sites` scans each module once (cacheable plain
-   data) for write/rename/replace/fsync sites, tracking constant
+2. :class:`DuraBuilder` reads each module's site walk
+   (:mod:`repro.analysis.ir`, cacheable plain data) for
+   write/rename/replace/fsync sites, tracking constant
    string fragments through locals, f-strings, ``/`` path joins and
    ``.with_name``/``.with_suffix`` so ``root / (NAME + ".tmp")``
    still resolves to ``NAME``'s value;
@@ -48,14 +49,10 @@ from pathlib import Path
 from typing import (Dict, FrozenSet, List, Mapping, Optional, Sequence,
                     Set, Tuple)
 
-from .base import ImportMap, Violation
-from .callgraph import FunctionKey, ProjectGraph
-from .layers import _fallback_read_table
-
-try:  # Python 3.11+
-    import tomllib
-except ModuleNotFoundError:  # pragma: no cover - exercised on py3.9 CI
-    tomllib = None  # type: ignore[assignment]
+from .base import Violation
+from .callgraph import ProjectGraph
+from .config import find_table, read_table
+from .ir import ModuleIR, SiteBuilder, snippet
 
 
 class DurabilityConfigError(ValueError):
@@ -122,37 +119,14 @@ def read_durability_table(pyproject: Path) -> Optional[DurabilityConfig]:
     Returns None when the file has no such table; raises
     :class:`DurabilityConfigError` when it exists but is invalid.
     """
-    source = str(pyproject)
-    text = pyproject.read_text(encoding="utf-8")
-    raw: Optional[Mapping[str, object]]
-    if tomllib is not None:
-        data = tomllib.loads(text)
-        tool = data.get("tool", {})
-        repro = tool.get("repro", {}) if isinstance(tool, dict) else {}
-        dura = repro.get("durability") if isinstance(repro, dict) else None
-        raw = dura if isinstance(dura, dict) else None
-    else:  # pragma: no cover - py<3.11 only
-        raw = _fallback_read_table(text, source, "tool.repro.durability")
-    if raw is None:
-        return None
-    return _config_from_mapping(raw, source)
+    return read_table(pyproject, "durability", _config_from_mapping,
+                      DurabilityConfigError)
 
 
 def find_durability_config(start: Path) -> Optional[DurabilityConfig]:
     """Walk up from ``start`` to the nearest durability table."""
-    cursor = start.resolve()
-    if cursor.is_file():
-        cursor = cursor.parent
-    while True:
-        candidate = cursor / "pyproject.toml"
-        if candidate.is_file():
-            config = read_durability_table(candidate)
-            if config is not None:
-                return config
-        parent = cursor.parent
-        if parent == cursor:
-            return None
-        cursor = parent
+    return find_table(start, "durability", _config_from_mapping,
+                      DurabilityConfigError)
 
 
 def check_durability_config(config: DurabilityConfig) -> List[Violation]:
@@ -194,29 +168,6 @@ class DuraSite:
     is_tmp: bool = False
     detail: str = ""     # short source rendering for messages
 
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "function": self.function,
-            "op": self.op,
-            "lineno": self.lineno,
-            "col": self.col,
-            "fragments": list(self.fragments),
-            "is_tmp": self.is_tmp,
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def from_json(cls, raw: Mapping[str, object]) -> "DuraSite":
-        return cls(
-            function=str(raw["function"]),
-            op=str(raw["op"]),
-            lineno=int(raw["lineno"]),  # type: ignore[arg-type]
-            col=int(raw["col"]),  # type: ignore[arg-type]
-            fragments=tuple(str(f) for f in raw.get("fragments", ())),  # type: ignore[union-attr]
-            is_tmp=bool(raw.get("is_tmp", False)),
-            detail=str(raw.get("detail", "")),
-        )
-
 
 # -- extraction ---------------------------------------------------------------
 
@@ -228,19 +179,41 @@ _PATH_METHODS: FrozenSet[str] = frozenset({
 })
 
 
-def _snippet(node: ast.expr, limit: int = 40) -> str:
-    try:
-        text = ast.unparse(node)
-    except Exception:  # pragma: no cover - unparse is total on 3.9+
-        text = "<expr>"
-    return text if len(text) <= limit else text[:limit - 3] + "..."
+def _open_mode(node: ast.Call) -> str:
+    if len(node.args) >= 2 and isinstance(node.args[1], ast.Constant) \
+            and isinstance(node.args[1].value, str):
+        return node.args[1].value
+    for keyword in node.keywords:
+        if keyword.arg == "mode" and isinstance(
+                keyword.value, ast.Constant) and isinstance(
+                keyword.value.value, str):
+            return keyword.value.value
+    return "r"
 
 
-class _FragmentTracker:
-    """Constant string fragments flowing through one function's locals."""
+class DuraBuilder(SiteBuilder):
+    """Collects :class:`DuraSite` records from the module's site walk.
 
-    def __init__(self, module_strs: Mapping[str, str]) -> None:
-        self.module_strs = module_strs
+    Constant string fragments flow through each function's locals in
+    statement order.
+    """
+
+    skip_roles = frozenset({"target"})
+
+    def __init__(self, ir: ModuleIR) -> None:
+        self.sites: List[DuraSite] = []
+        self.module_strs: Dict[str, str] = {}
+        for node in ir.tree.body:
+            if isinstance(node, ast.Assign) and isinstance(
+                    node.value, ast.Constant) and isinstance(
+                    node.value.value, str):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        self.module_strs[target.id] = node.value.value
+        super().__init__(ir)
+
+    def fresh(self) -> None:
+        #: local name -> (constant fragments, looks-like-a-temp-name)
         self.local_frags: Dict[str, Tuple[FrozenSet[str], bool]] = {}
 
     def fragments(self, node: ast.expr) -> Tuple[FrozenSet[str], bool]:
@@ -291,45 +264,12 @@ class _FragmentTracker:
             return frozenset(), "tmp" in node.attr.lower()
         return frozenset(), False
 
-    def bind(self, target: ast.expr, value: ast.expr) -> None:
-        if not isinstance(target, ast.Name):
-            return
-        frags, is_tmp = self.fragments(value)
-        if frags or is_tmp:
-            self.local_frags[target.id] = (frags, is_tmp)
-        else:
-            self.local_frags.pop(target.id, None)
-
-
-def _open_mode(node: ast.Call) -> str:
-    if len(node.args) >= 2 and isinstance(node.args[1], ast.Constant) \
-            and isinstance(node.args[1].value, str):
-        return node.args[1].value
-    for keyword in node.keywords:
-        if keyword.arg == "mode" and isinstance(
-                keyword.value, ast.Constant) and isinstance(
-                keyword.value.value, str):
-            return keyword.value.value
-    return "r"
-
-
-class _DuraScanner:
-    """Statement-ordered walk of one function body collecting sites."""
-
-    def __init__(self, qualname: str, module_strs: Mapping[str, str],
-                 dotted_for: "_DottedResolver",
-                 sites: List[DuraSite]) -> None:
-        self.qualname = qualname
-        self.tracker = _FragmentTracker(module_strs)
-        self.dotted_for = dotted_for
-        self.sites = sites
-
     def _site(self, node: ast.AST, op: str, target: Optional[ast.expr],
               detail: str = "") -> None:
         frags: Tuple[str, ...] = ()
         is_tmp = False
         if target is not None:
-            frag_set, is_tmp = self.tracker.fragments(target)
+            frag_set, is_tmp = self.fragments(target)
             frags = tuple(sorted(frag_set))
         self.sites.append(DuraSite(
             function=self.qualname, op=op,
@@ -339,12 +279,12 @@ class _DuraScanner:
 
     def _call(self, node: ast.Call) -> None:
         func = node.func
-        dotted = self.dotted_for(func)
+        dotted = self.ir.dotted(func)
         if isinstance(func, ast.Name) and func.id == "open" and node.args:
             mode = _open_mode(node)
             if any(flag in mode for flag in _WRITE_MODES):
                 self._site(node, "open", node.args[0],
-                           detail=f"open({_snippet(node.args[0])}, "
+                           detail=f"open({snippet(node.args[0])}, "
                                   f"{mode!r})")
             return
         if dotted == "os.fsync":
@@ -353,162 +293,44 @@ class _DuraScanner:
         if dotted in ("os.rename", "shutil.move") and len(node.args) >= 2:
             self._site(node, "rename", node.args[1],
                        detail=f"{dotted}(..., "
-                              f"{_snippet(node.args[1])})")
+                              f"{snippet(node.args[1])})")
             return
         if dotted == "os.replace" and len(node.args) >= 2:
             self._site(node, "replace", node.args[1],
                        detail=f"os.replace(..., "
-                              f"{_snippet(node.args[1])})")
+                              f"{snippet(node.args[1])})")
             return
         if isinstance(func, ast.Attribute):
             if func.attr in ("write_text", "write_bytes"):
                 self._site(node, "write", func.value,
-                           detail=f"{_snippet(func.value)}"
+                           detail=f"{snippet(func.value)}"
                                   f".{func.attr}(...)")
             elif func.attr in ("replace", "rename") \
                     and len(node.args) == 1 and not node.keywords:
                 # single argument: Path.replace/rename (str.replace
                 # takes two), destination is the argument
                 self._site(node, func.attr, node.args[0],
-                           detail=f"{_snippet(func.value)}.{func.attr}"
-                                  f"({_snippet(node.args[0])})")
+                           detail=f"{snippet(func.value)}.{func.attr}"
+                                  f"({snippet(node.args[0])})")
 
-    def _expr(self, node: ast.expr) -> None:
-        for sub in ast.walk(node):
+    def expr(self, nodes: Sequence[ast.AST]) -> None:
+        for sub in nodes:
             if isinstance(sub, ast.Call):
                 self._call(sub)
 
-    def scan(self, body: Sequence[ast.stmt]) -> None:
-        for stmt in body:
-            self._stmt(stmt)
-
-    def _stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, ast.Assign):
-            self._expr(stmt.value)
-            for target in stmt.targets:
-                self.tracker.bind(target, stmt.value)
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            self._expr(stmt.value)
-            self.tracker.bind(stmt.target, stmt.value)
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self._expr(stmt.iter)
-            self.scan(stmt.body)
-            self.scan(stmt.orelse)
-        elif isinstance(stmt, ast.While):
-            self._expr(stmt.test)
-            self.scan(stmt.body)
-            self.scan(stmt.orelse)
-        elif isinstance(stmt, ast.If):
-            self._expr(stmt.test)
-            self.scan(stmt.body)
-            self.scan(stmt.orelse)
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                self._expr(item.context_expr)
-            self.scan(stmt.body)
-        elif isinstance(stmt, ast.Try):
-            self.scan(stmt.body)
-            for handler in stmt.handlers:
-                self.scan(handler.body)
-            self.scan(stmt.orelse)
-            self.scan(stmt.finalbody)
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            nested = _DuraScanner(self.qualname,
-                                  self.tracker.module_strs,
-                                  self.dotted_for, self.sites)
-            nested.scan(stmt.body)
-        elif isinstance(stmt, ast.ClassDef):
-            for item in stmt.body:
-                if isinstance(item, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef)):
-                    nested = _DuraScanner(self.qualname,
-                                          self.tracker.module_strs,
-                                          self.dotted_for, self.sites)
-                    nested.scan(item.body)
-        else:
-            for child in ast.iter_child_nodes(stmt):
-                if isinstance(child, ast.expr):
-                    self._expr(child)
-
-
-def _is_type_checking(test: ast.expr) -> bool:
-    if isinstance(test, ast.Name):
-        return test.id == "TYPE_CHECKING"
-    if isinstance(test, ast.Attribute):
-        return test.attr == "TYPE_CHECKING"
-    return False
-
-
-class _DottedResolver:
-    """Callable wrapper around :meth:`ImportMap.resolve_attribute`."""
-
-    def __init__(self, tree: ast.Module) -> None:
-        self.imports = ImportMap().collect(tree)
-
-    def __call__(self, node: ast.expr) -> Optional[str]:
-        return self.imports.resolve_attribute(node)
-
-
-def extract_dura_sites(tree: ast.Module) -> List[DuraSite]:
-    """All durability sites in one module, grouped by function."""
-    dotted_for = _DottedResolver(tree)
-    module_strs: Dict[str, str] = {}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and isinstance(
-                node.value, ast.Constant) and isinstance(
-                node.value.value, str):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    module_strs[target.id] = node.value.value
-
-    sites: List[DuraSite] = []
-    module_stmts: List[ast.stmt] = []
-
-    def scan_body(body: Sequence[ast.stmt],
-                  owner_class: Optional[str]) -> None:
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = (node.name if owner_class is None
-                            else f"{owner_class}.{node.name}")
-                _DuraScanner(qualname, module_strs, dotted_for,
-                             sites).scan(node.body)
-            elif isinstance(node, ast.ClassDef) and owner_class is None:
-                scan_body(node.body, node.name)
-            elif isinstance(node, ast.If) and owner_class is None:
-                if not _is_type_checking(node.test):
-                    scan_body(node.body, None)
-                    scan_body(node.orelse, None)
-            elif owner_class is None:
-                module_stmts.append(node)
-
-    scan_body(tree.body, None)
-    _DuraScanner("<module>", module_strs, dotted_for,
-                 sites).scan(module_stmts)
-    return sites
+    def assign(self, stmt: ast.stmt, targets: Sequence[ast.expr],
+               value: ast.expr) -> None:
+        for target in targets:
+            if not isinstance(target, ast.Name):
+                continue
+            frags, is_tmp = self.fragments(value)
+            if frags or is_tmp:
+                self.local_frags[target.id] = (frags, is_tmp)
+            else:
+                self.local_frags.pop(target.id, None)
 
 
 # -- the check ----------------------------------------------------------------
-
-def _function_fsyncs(sites_by_module: Mapping[str, Sequence[DuraSite]]
-                     ) -> Set[FunctionKey]:
-    out: Set[FunctionKey] = set()
-    for module_name, sites in sites_by_module.items():
-        for site in sites:
-            if site.op == "fsync":
-                out.add((module_name, site.function))
-    return out
-
-
-def _reaches_fsync(graph: ProjectGraph, key: FunctionKey,
-                   fsyncs: Set[FunctionKey],
-                   cache: Dict[FunctionKey, bool]) -> bool:
-    if key in cache:
-        return cache[key]
-    reached = graph.reachable_from([key])
-    result = any(node in fsyncs for node in reached)
-    cache[key] = result
-    return result
-
 
 def check_durability(
         graph: ProjectGraph,
@@ -517,8 +339,9 @@ def check_durability(
 ) -> List[Violation]:
     """RA804 over every tracked write target plus RA800 config checks."""
     violations = check_durability_config(config)
-    fsyncs = _function_fsyncs(sites_by_module)
-    fsync_cache: Dict[FunctionKey, bool] = {}
+    fsyncs = {(module_name, site.function)
+              for module_name, sites in sites_by_module.items()
+              for site in sites if site.op == "fsync"}
 
     for module_name in sorted(sites_by_module):
         facts = graph.modules.get(module_name)
@@ -542,43 +365,39 @@ def check_durability(
                 committed = False
                 if site.op in ("open", "write"):
                     if not site.is_tmp:
-                        violations.append(Violation(
-                            path=facts.display_path, line=site.lineno,
-                            col=site.col, code="RA804",
-                            message=(f"{site.detail} writes tracked "
-                                     f"artifact `{pattern}` in place "
-                                     f"in `{function}`; a crash "
-                                     "mid-write leaves a torn file — "
-                                     "write a temp name, fsync, then "
-                                     "os.replace onto the real "
-                                     "name")))
+                        violations.append(facts.violation(
+                            site, "RA804",
+                            (f"{site.detail} writes tracked "
+                             f"artifact `{pattern}` in place "
+                             f"in `{function}`; a crash "
+                             "mid-write leaves a torn file — "
+                             "write a temp name, fsync, then "
+                             "os.replace onto the real "
+                             "name")))
                         committed = True
                 elif site.op == "rename":
-                    violations.append(Violation(
-                        path=facts.display_path, line=site.lineno,
-                        col=site.col, code="RA804",
-                        message=(f"{site.detail} moves tracked "
-                                 f"artifact `{pattern}` without "
-                                 "durability in "
-                                 f"`{function}`; use os.replace after "
-                                 "an fsync so the commit is atomic "
-                                 "and survives power loss")))
+                    violations.append(facts.violation(
+                        site, "RA804",
+                        (f"{site.detail} moves tracked "
+                         f"artifact `{pattern}` without "
+                         "durability in "
+                         f"`{function}`; use os.replace after "
+                         "an fsync so the commit is atomic "
+                         "and survives power loss")))
                     committed = True
                 elif site.op == "replace":
                     committed = True
-                    key: FunctionKey = (module_name, function)
-                    if not _reaches_fsync(graph, key, fsyncs,
-                                          fsync_cache):
-                        violations.append(Violation(
-                            path=facts.display_path, line=site.lineno,
-                            col=site.col, code="RA804",
-                            message=(f"{site.detail} commits tracked "
-                                     f"artifact `{pattern}` but "
-                                     f"`{function}` never reaches an "
-                                     "`os.fsync`; the rename can be "
-                                     "durable before the data is — "
-                                     "fsync the temp file before "
-                                     "replacing")))
+                    if fsyncs.isdisjoint(graph.reachable_from(
+                            [(module_name, function)])):
+                        violations.append(facts.violation(
+                            site, "RA804",
+                            (f"{site.detail} commits tracked "
+                             f"artifact `{pattern}` but "
+                             f"`{function}` never reaches an "
+                             "`os.fsync`; the rename can be "
+                             "durable before the data is — "
+                             "fsync the temp file before "
+                             "replacing")))
                 if committed:
                     is_manifest = config.is_manifest(site.fragments)
                     if is_manifest and manifest_commit is None:
@@ -587,21 +406,20 @@ def check_durability(
                             and manifest_commit is not None
                             and not facts.is_suppressed(site.lineno,
                                                         "RA804")):
-                        violations.append(Violation(
-                            path=facts.display_path, line=site.lineno,
-                            col=site.col, code="RA804",
-                            message=(f"tracked artifact `{pattern}` "
-                                     "is committed after the manifest "
-                                     f"(line {manifest_commit.lineno}) "
-                                     f"in `{function}`; commit the "
-                                     "manifest last so it never "
-                                     "references artifacts that do "
-                                     "not exist yet")))
+                        violations.append(facts.violation(
+                            site, "RA804",
+                            (f"tracked artifact `{pattern}` "
+                             "is committed after the manifest "
+                             f"(line {manifest_commit.lineno}) "
+                             f"in `{function}`; commit the "
+                             "manifest last so it never "
+                             "references artifacts that do "
+                             "not exist yet")))
     return violations
 
 
 __all__: Tuple[str, ...] = (
     "DurabilityConfig", "DurabilityConfigError", "DuraSite",
-    "check_durability", "check_durability_config", "extract_dura_sites",
+    "DuraBuilder", "check_durability", "check_durability_config",
     "find_durability_config", "read_durability_table",
 )

@@ -10,10 +10,12 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
+                    Sequence, Union)
 
-from .base import (DEFAULT_HOT_PACKAGES, ModuleContext, Violation,
-                   apply_suppressions, checker_classes)
+from .base import (DEFAULT_HOT_PACKAGES, ImportMap, ModuleContext,
+                   Violation, apply_suppressions)
+from .checkers import FileChecker
 from .fixer import Fix
 
 #: directory names never worth scanning
@@ -85,16 +87,30 @@ def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
 
 def analyze_parsed(source: str, path: Path, tree: ast.Module,
                    hot_packages: FrozenSet[str] = DEFAULT_HOT_PACKAGES,
-                   display_path: Optional[str] = None) -> List[Violation]:
-    """Run every per-file checker over an already-parsed module."""
+                   display_path: Optional[str] = None,
+                   imports: Optional[ImportMap] = None) -> List[Violation]:
+    """Run the per-file rules over an already-parsed module.
+
+    ``imports`` is the module's already-collected import map, if the
+    caller has one; otherwise it is collected once here for all the
+    checkers.
+    """
     display = display_path if display_path is not None else str(path)
     context = ModuleContext(path=path, source=source, tree=tree,
                             hot_packages=hot_packages,
-                            display_path=display)
-    violations: List[Violation] = []
-    for checker_cls in checker_classes():
-        violations.extend(checker_cls(context).run())
-    return sorted(apply_suppressions(source, violations))
+                            display_path=display, imports=imports)
+    return sorted(apply_suppressions(source, FileChecker(context).run()))
+
+
+def parse_or_violation(source: str, path: Path,
+                       display: str) -> Union[ast.Module, Violation]:
+    """The parsed module, or the RA000 finding for a syntax error."""
+    try:
+        return ast.parse(source, filename=str(path))
+    except SyntaxError as exc:
+        return Violation(path=display, line=exc.lineno or 1,
+                         col=(exc.offset or 0) + 1, code="RA000",
+                         message=f"syntax error: {exc.msg}")
 
 
 def analyze_source(source: str, path: Path,
@@ -102,12 +118,9 @@ def analyze_source(source: str, path: Path,
                    display_path: Optional[str] = None) -> List[Violation]:
     """Run every checker over one module's source text."""
     display = display_path if display_path is not None else str(path)
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        return [Violation(path=display, line=exc.lineno or 1,
-                          col=(exc.offset or 0) + 1, code="RA000",
-                          message=f"syntax error: {exc.msg}")]
+    tree = parse_or_violation(source, path, display)
+    if isinstance(tree, Violation):
+        return [tree]
     return analyze_parsed(source, path, tree, hot_packages=hot_packages,
                           display_path=display)
 

@@ -120,7 +120,7 @@ def fix_for_site(path: str, display: str,
     elif site.fix_kind == "dtype-add":
         edits = (Edit(lineno, col, lineno, col, site.payload),)
         description = f"add explicit {site.payload.lstrip(', ')}"
-    else:  # pragma: no cover - FIX_KINDS is closed
+    else:  # pragma: no cover - DetSite.fix_kind is closed
         return None
     return Fix(path=path, display=display, code=site.code,
                line=site.lineno, col=site.col, description=description,

@@ -30,21 +30,16 @@ The checker therefore only sees the *runtime module-scope* edges that
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
 from .base import Violation
+from .config import find_table, read_table
 
 if TYPE_CHECKING:
     from .callgraph import ModuleFacts
-
-try:  # Python 3.11+
-    import tomllib
-except ModuleNotFoundError:  # pragma: no cover - exercised on py3.9 CI
-    tomllib = None  # type: ignore[assignment]
 
 _DEFAULT_ROOT = "repro"
 
@@ -153,158 +148,20 @@ def _layers_from_mapping(raw: Mapping[str, object],
     return _validate(root, allowed, source)
 
 
-# -- minimal TOML fallback ----------------------------------------------------
-#
-# tomllib is 3.11+; the CI matrix still runs 3.9.  The layers table only
-# uses `key = "str"` and `key = ["a", "b"]` forms, so a tiny line-based
-# reader suffices there.  On 3.11+ the real tomllib is always used.
-
-_SECTION_RE = re.compile(r"^\[(?P<name>[^\]]+)\]\s*$")
-_KV_RE = re.compile(r"^(?P<key>[A-Za-z0-9_.\-\"']+)\s*=\s*(?P<value>.+)$")
-
-
-def _parse_toml_value(text: str, source: str) -> object:
-    text = text.strip()
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        if not inner:
-            return []
-        return [_parse_toml_value(part, source)
-                for part in _split_toml_list(inner)]
-    if (text.startswith('"') and text.endswith('"')) or (
-            text.startswith("'") and text.endswith("'")):
-        return text[1:-1]
-    raise LayerConfigError(
-        f"{source}: unsupported TOML value {text!r} in "
-        "[tool.repro.layers] (fallback parser handles strings and "
-        "string lists only)")
-
-
-def _split_toml_list(inner: str) -> List[str]:
-    parts: List[str] = []
-    depth = 0
-    quote = ""
-    current = ""
-    for char in inner:
-        if quote:
-            current += char
-            if char == quote:
-                quote = ""
-            continue
-        if char in "\"'":
-            quote = char
-            current += char
-        elif char == "[":
-            depth += 1
-            current += char
-        elif char == "]":
-            depth -= 1
-            current += char
-        elif char == "," and depth == 0:
-            parts.append(current)
-            current = ""
-        else:
-            current += char
-    if current.strip():
-        parts.append(current)
-    return parts
-
-
-def _strip_toml_comment(line: str) -> str:
-    out: List[str] = []
-    quote = ""
-    for char in line:
-        if quote:
-            out.append(char)
-            if char == quote:
-                quote = ""
-        elif char in "\"'":
-            quote = char
-            out.append(char)
-        elif char == "#":
-            break
-        else:
-            out.append(char)
-    return "".join(out).rstrip()
-
-
-def _fallback_read_table(text: str, source: str,
-                         section_name: str) -> Optional[Mapping[str, object]]:
-    """Read one ``[section_name]`` table with the line-based fallback.
-
-    Shared by the layers and determinism config loaders on py<3.11;
-    handles ``key = "str"`` / ``key = ["a", "b"]`` forms only.
-    """
-    table: Dict[str, object] = {}
-    in_section = False
-    found = False
-    buffer = ""
-    for raw_line in text.splitlines():
-        line = _strip_toml_comment(raw_line)
-        if not line.strip():
-            continue
-        section = _SECTION_RE.match(line.strip())
-        if section and not buffer:
-            in_section = section.group("name").strip() == section_name
-            found = found or in_section
-            continue
-        if not in_section:
-            continue
-        buffer = f"{buffer} {line.strip()}" if buffer else line.strip()
-        # multi-line arrays: keep buffering until brackets balance
-        if buffer.count("[") > buffer.count("]") or buffer.endswith(","):
-            continue
-        match = _KV_RE.match(buffer)
-        buffer = ""
-        if not match:
-            continue
-        key = match.group("key").strip("\"'")
-        table[key] = _parse_toml_value(match.group("value"), source)
-    return table if found else None
-
-
-def _fallback_read_layers(text: str,
-                          source: str) -> Optional[Mapping[str, object]]:
-    return _fallback_read_table(text, source, "tool.repro.layers")
-
-
 def read_layers_table(pyproject: Path) -> Optional[LayerConfig]:
     """Load and validate ``[tool.repro.layers]`` from a pyproject file.
 
     Returns None when the file has no such table; raises
     :class:`LayerConfigError` when the table exists but is invalid.
     """
-    source = str(pyproject)
-    text = pyproject.read_text(encoding="utf-8")
-    raw: Optional[Mapping[str, object]]
-    if tomllib is not None:
-        data = tomllib.loads(text)
-        tool = data.get("tool", {})
-        repro = tool.get("repro", {}) if isinstance(tool, dict) else {}
-        layers = repro.get("layers") if isinstance(repro, dict) else None
-        raw = layers if isinstance(layers, dict) else None
-    else:  # pragma: no cover - py<3.11 only
-        raw = _fallback_read_layers(text, source)
-    if raw is None:
-        return None
-    return _layers_from_mapping(raw, source)
+    return read_table(pyproject, "layers", _layers_from_mapping,
+                      LayerConfigError)
 
 
 def find_layer_config(start: Path) -> Optional[LayerConfig]:
     """Walk up from ``start`` to the nearest pyproject layer table."""
-    cursor = start.resolve()
-    if cursor.is_file():
-        cursor = cursor.parent
-    while True:
-        candidate = cursor / "pyproject.toml"
-        if candidate.is_file():
-            config = read_layers_table(candidate)
-            if config is not None:
-                return config
-        parent = cursor.parent
-        if parent == cursor:
-            return None
-        cursor = parent
+    return find_table(start, "layers", _layers_from_mapping,
+                      LayerConfigError)
 
 
 # -- the RA601 check ----------------------------------------------------------
@@ -330,16 +187,11 @@ def check_layers(modules: Sequence["ModuleFacts"],
             else:
                 detail = (f"[tool.repro.layers] does not allow "
                           f"{importer_layer!r} -> {target_layer!r}")
-            violation = Violation(
-                path=facts.display_path,
-                line=imp.lineno,
-                col=imp.col,
-                code="RA601",
-                message=(f"module-scope import of `{imp.target}` "
-                         f"crosses the layer map: {detail}; use a "
-                         "TYPE_CHECKING or function-scope import if "
-                         "this edge is a sanctioned cycle-break"),
-            )
             if not facts.is_suppressed(imp.lineno, "RA601"):
-                violations.append(violation)
+                violations.append(facts.violation(
+                    imp, "RA601",
+                    f"module-scope import of `{imp.target}` crosses the "
+                    f"layer map: {detail}; use a TYPE_CHECKING or "
+                    "function-scope import if this edge is a sanctioned "
+                    "cycle-break"))
     return violations

@@ -33,9 +33,10 @@ call graph:
   ``open``/``os.open``/``NamedTemporaryFile``/``Pipe`` result bound to
   a local that never escapes the function and is never closed.
 
-Like RA502 and the RA7xx rules, extraction is per file and JSON
-round-trippable (:class:`LifeSite`) so the project cache can persist
-it; everything cross-module happens at link time in
+Like RA502 and the RA7xx rules, extraction is per file:
+:class:`LifeBuilder` reads the module's site walk
+(:mod:`repro.analysis.ir`) into plain :class:`LifeSite` records the
+project cache persists; everything cross-module happens at link time in
 :func:`check_lifecycle`, which honours ``# repro: noqa[RAxxx]``
 through :class:`~repro.analysis.callgraph.ModuleFacts`.
 """
@@ -47,8 +48,9 @@ from dataclasses import dataclass
 from typing import (Dict, FrozenSet, List, Mapping, Optional, Sequence,
                     Set, Tuple)
 
-from .base import ImportMap, Violation
+from .base import Violation, name_chain
 from .callgraph import FunctionKey, ModuleFacts, ProjectGraph
+from .ir import FunctionIR, ModuleIR, SiteBuilder
 
 #: attribute calls that block unboundedly when called with no timeout
 _BLOCKING_ATTRS: FrozenSet[str] = frozenset({
@@ -80,45 +82,6 @@ _RESOURCE_ATTRS: FrozenSet[str] = frozenset({
 })
 
 
-def _is_lock_name(name: str) -> bool:
-    return "lock" in name.lower()
-
-
-def _lock_identity(expr: ast.expr,
-                   owner_class: Optional[str]) -> Optional[str]:
-    """Stable identity for a lock-like ``with`` context expression.
-
-    ``self._lock`` inside class ``C`` becomes ``C._lock`` so every
-    method of the class (and every instance) maps to one node in the
-    order graph; subscripts are stripped (``self._locks[i]`` and
-    ``self._locks[j]`` are the same *level* in a lock hierarchy, and
-    same-identity edges are ignored rather than reported).  Returns
-    None for non-lock expressions.
-    """
-    node: ast.expr = expr.func if isinstance(expr, ast.Call) else expr
-    while isinstance(node, ast.Subscript):
-        node = node.value
-    parts: List[str] = []
-    cursor = node
-    while isinstance(cursor, ast.Attribute):
-        parts.append(cursor.attr)
-        cursor = cursor.value
-        while isinstance(cursor, ast.Subscript):
-            cursor = cursor.value
-    parts.reverse()
-    if not isinstance(cursor, ast.Name):
-        return None
-    if cursor.id in ("self", "cls"):
-        if not parts or not _is_lock_name(parts[0]):
-            return None
-        return f"{owner_class or 'self'}.{parts[0]}"
-    chain = [cursor.id] + parts
-    for index, part in enumerate(chain):
-        if _is_lock_name(part):
-            return ".".join(chain[:index + 1])
-    return None
-
-
 def _receiver_desc(node: ast.expr) -> Optional[str]:
     """``self.X`` / bare-name receiver of a method call, else None."""
     if isinstance(node, ast.Name):
@@ -128,6 +91,17 @@ def _receiver_desc(node: ast.expr) -> Optional[str]:
             and node.value.id in ("self", "cls")):
         return f"self.{node.attr}"
     return None
+
+
+def _ctor_named(node: ast.expr, names: FrozenSet[str]) -> Optional[str]:
+    """``X`` when ``node`` calls ``X(...)`` or ``mod.X(...)`` for an
+    ``X`` in ``names``."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else (
+        func.id if isinstance(func, ast.Name) else "")
+    return name if name in names else None
 
 
 def _has_timeout(node: ast.Call) -> bool:
@@ -162,49 +136,28 @@ class LifeSite:
     held: Tuple[str, ...] = ()
     detail: str = ""
 
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "function": self.function,
-            "kind": self.kind,
-            "lineno": self.lineno,
-            "col": self.col,
-            "name": self.name,
-            "held": list(self.held),
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def from_json(cls, raw: Mapping[str, object]) -> "LifeSite":
-        return cls(
-            function=str(raw["function"]),
-            kind=str(raw["kind"]),
-            lineno=int(raw["lineno"]),  # type: ignore[arg-type]
-            col=int(raw["col"]),  # type: ignore[arg-type]
-            name=str(raw["name"]),
-            held=tuple(str(h) for h in raw.get("held", ())),  # type: ignore[union-attr]
-            detail=str(raw.get("detail", "")),
-        )
-
 
 # -- extraction ---------------------------------------------------------------
 
-class _LifeScanner:
-    """Order-aware walk of one function body collecting :class:`LifeSite`.
+class LifeBuilder(SiteBuilder):
+    """Collects :class:`LifeSite` records from the module's site walk.
 
     Tracks the stack of held lock identities through nested ``with``
     statements and the local resource/thread bindings in statement
-    order, so the walk is hand-rolled like the RA7xx scanner rather
-    than a plain ``ast.walk``.
+    order.  Nested bodies run later (often on another thread): locks
+    held around them are not held inside, and their resources are not
+    reported.
     """
 
-    def __init__(self, qualname: str, owner_class: Optional[str],
-                 imports: ImportMap, sites: List[LifeSite]) -> None:
-        self.qualname = qualname
-        self.owner_class = owner_class
-        self.imports = imports
-        self.sites = sites
+    skip_roles = frozenset({"aug-target", "lock"})
+
+    def __init__(self, ir: ModuleIR) -> None:
+        self.sites: List[LifeSite] = []
+        super().__init__(ir)
+
+    def fresh(self) -> None:
         self.held: List[str] = []
-        #: local name -> constructor description ("open", "Pipe", ...)
+        #: local name -> (constructor, lineno, col) of a tracked resource
         self.resources: Dict[str, Tuple[str, int, int]] = {}
         self.closed: Set[str] = set()
         self.escaped: Set[str] = set()
@@ -219,25 +172,15 @@ class _LifeScanner:
 
     # -- call classification -------------------------------------------------
 
-    def _dotted(self, node: ast.expr) -> Optional[str]:
-        return self.imports.resolve_attribute(node)
-
-    def _raw_callee(self, func: ast.expr) -> Optional[str]:
+    @staticmethod
+    def _raw_callee(func: ast.expr) -> Optional[str]:
         """Link-time-resolvable callee text, or None."""
-        if isinstance(func, ast.Name):
-            return func.id
-        if isinstance(func, ast.Attribute):
-            if (isinstance(func.value, ast.Name)
-                    and func.value.id in ("self", "cls")):
-                return f"self.{func.attr}"
-            parts: List[str] = []
-            cursor: ast.expr = func
-            while isinstance(cursor, ast.Attribute):
-                parts.append(cursor.attr)
-                cursor = cursor.value
-            if isinstance(cursor, ast.Name):
-                return ".".join([cursor.id] + list(reversed(parts)))
-        return None
+        if (isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and func.value.id in ("self", "cls")):
+            return f"self.{func.attr}"
+        chain = name_chain(func)
+        return None if chain is None else ".".join(chain)
 
     def _blocking_desc(self, node: ast.Call) -> Optional[str]:
         """Human description when the call blocks unboundedly."""
@@ -248,7 +191,7 @@ class _LifeScanner:
             if func.id == "open":
                 return "file IO `open(...)`"
             return None
-        dotted = self._dotted(func)
+        dotted = self.ir.dotted(func)
         if dotted in _BLOCKING_DOTTED:
             return f"`{dotted}(...)`"
         if isinstance(func, ast.Attribute) \
@@ -283,8 +226,7 @@ class _LifeScanner:
                 elif func.attr == "close" and isinstance(func.value,
                                                          ast.Name):
                     self.closed.add(func.value.id)
-        dotted = self._dotted(func)
-        if dotted == "os.close":
+        if self.ir.dotted(func) == "os.close":
             for arg in node.args:
                 if isinstance(arg, ast.Name):
                     self.closed.add(arg.id)
@@ -295,24 +237,11 @@ class _LifeScanner:
         func = node.func
         if isinstance(func, ast.Name) and func.id == "open":
             return "open"
-        dotted = self._dotted(func)
-        if dotted == "os.open":
+        if self.ir.dotted(func) == "os.open":
             return "os.open"
-        name = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else "")
-        if name in _RESOURCE_ATTRS:
-            return name
-        return None
+        return _ctor_named(node, _RESOURCE_ATTRS)
 
-    def _thread_ctor(self, node: ast.expr) -> Optional[str]:
-        if not isinstance(node, ast.Call):
-            return None
-        func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else "")
-        return name if name in _THREAD_CTORS else None
-
-    # -- expressions ---------------------------------------------------------
+    # -- events --------------------------------------------------------------
 
     def _mark_escapes(self, node: ast.expr) -> None:
         # a name used only as a method receiver (`f.read()`) has not
@@ -329,8 +258,8 @@ class _LifeScanner:
                     and id(sub) not in receivers):
                 self.escaped.add(sub.id)
 
-    def _expr(self, node: ast.expr) -> None:
-        for sub in ast.walk(node):
+    def expr(self, nodes: Sequence[ast.AST]) -> None:
+        for sub in nodes:
             if isinstance(sub, ast.Call):
                 self._call(sub)
                 # a tracked resource passed as an argument changes
@@ -344,11 +273,8 @@ class _LifeScanner:
                 if value is not None:
                     self._mark_escapes(value)
 
-    # -- statements ----------------------------------------------------------
-
-    def scan(self, body: Sequence[ast.stmt]) -> None:
-        for stmt in body:
-            self._stmt(stmt)
+    def returned(self, value: ast.expr) -> None:
+        self._mark_escapes(value)
 
     def _bind_resource(self, target: ast.expr, ctor: str,
                        node: ast.AST) -> None:
@@ -363,97 +289,38 @@ class _LifeScanner:
             for element in target.elts:
                 self._bind_resource(element, ctor, node)
 
-    def _assign(self, targets: Sequence[ast.expr],
-                value: ast.expr, node: ast.AST) -> None:
-        self._expr(value)
+    def assign(self, stmt: ast.stmt, targets: Sequence[ast.expr],
+               value: ast.expr) -> None:
         ctor = self._resource_ctor(value)
-        thread = self._thread_ctor(value)
+        thread = _ctor_named(value, _THREAD_CTORS)
         for target in targets:
             receiver = _receiver_desc(target) if thread else None
             if thread is not None and receiver is not None:
-                self._site(node, "ctor", receiver, detail=thread)
+                self._site(stmt, "ctor", receiver, detail=thread)
             if ctor is not None:
-                self._bind_resource(target, ctor, node)
+                self._bind_resource(target, ctor, stmt)
             elif isinstance(target, ast.Name):
                 # rebinding drops the old tracking (conservative)
                 self.resources.pop(target.id, None)
-            if not isinstance(target, ast.Name):
-                self._expr(target)
         if ctor is None and thread is None:
             # `alias = f` keeps the object alive elsewhere
             self._mark_escapes(value)
 
-    def _stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, ast.Assign):
-            self._assign(stmt.targets, stmt.value, stmt)
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            self._assign([stmt.target], stmt.value, stmt)
-        elif isinstance(stmt, ast.AugAssign):
-            self._expr(stmt.value)
-        elif isinstance(stmt, ast.Expr):
-            self._expr(stmt.value)
-        elif isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                self._expr(stmt.value)
-                self._mark_escapes(stmt.value)
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            self._with(stmt)
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self._expr(stmt.iter)
-            self.scan(stmt.body)
-            self.scan(stmt.orelse)
-        elif isinstance(stmt, ast.While):
-            self._expr(stmt.test)
-            self.scan(stmt.body)
-            self.scan(stmt.orelse)
-        elif isinstance(stmt, ast.If):
-            self._expr(stmt.test)
-            self.scan(stmt.body)
-            self.scan(stmt.orelse)
-        elif isinstance(stmt, ast.Try):
-            self.scan(stmt.body)
-            for handler in stmt.handlers:
-                self.scan(handler.body)
-            self.scan(stmt.orelse)
-            self.scan(stmt.finalbody)
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            # nested defs run later (often on another thread): locks
-            # held here are NOT held there, so scan with a fresh stack;
-            # sites attribute to the enclosing function like RA7xx
-            nested = _LifeScanner(self.qualname, self.owner_class,
-                                  self.imports, self.sites)
-            nested.scan(stmt.body)
-        elif isinstance(stmt, ast.ClassDef):
-            for item in stmt.body:
-                if isinstance(item, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef)):
-                    nested = _LifeScanner(self.qualname, self.owner_class,
-                                          self.imports, self.sites)
-                    nested.scan(item.body)
-        else:
-            for child in ast.iter_child_nodes(stmt):
-                if isinstance(child, ast.expr):
-                    self._expr(child)
+    def with_item(self, item: ast.withitem, lock: Optional[str]) -> None:
+        if lock is not None:
+            self._site(item.context_expr, "acquire", lock,
+                       held=tuple(self.held))
+            self.held.append(lock)
 
-    def _with(self, stmt: "ast.With | ast.AsyncWith") -> None:
-        pushed = 0
-        for item in stmt.items:
-            identity = _lock_identity(item.context_expr, self.owner_class)
-            if identity is not None:
-                self._site(item.context_expr, "acquire", identity,
-                           held=tuple(self.held))
-                self.held.append(identity)
-                pushed += 1
-                continue
-            self._expr(item.context_expr)
-            if item.optional_vars is not None and isinstance(
-                    item.optional_vars, ast.Name):
-                # `with open(...) as f:` — context-managed, not tracked
-                self.resources.pop(item.optional_vars.id, None)
-        self.scan(stmt.body)
-        del self.held[len(self.held) - pushed:]
+    def with_bound(self, item: ast.withitem, lock: Optional[str]) -> None:
+        if lock is None and isinstance(item.optional_vars, ast.Name):
+            # `with open(...) as f:` — context-managed, not tracked
+            self.resources.pop(item.optional_vars.id, None)
 
-    def finish(self) -> None:
+    def with_exit(self, locks: int) -> None:
+        del self.held[len(self.held) - locks:]
+
+    def end(self, fn: FunctionIR) -> None:
         """Emit RA805 sites for resources never closed or handed off."""
         for name, (ctor, lineno, col) in sorted(self.resources.items()):
             if name in self.closed or name in self.escaped:
@@ -461,52 +328,6 @@ class _LifeScanner:
             self.sites.append(LifeSite(
                 function=self.qualname, kind="resource",
                 lineno=lineno, col=col, name=name, detail=ctor))
-
-
-def _is_type_checking(test: ast.expr) -> bool:
-    if isinstance(test, ast.Name):
-        return test.id == "TYPE_CHECKING"
-    if isinstance(test, ast.Attribute):
-        return test.attr == "TYPE_CHECKING"
-    return False
-
-
-def extract_life_sites(tree: ast.Module) -> List[LifeSite]:
-    """All lifecycle sites in one module, grouped by function.
-
-    Mirrors the call-graph extractor's notion of a "function"
-    (top-level defs, class methods, and a ``<module>``
-    pseudo-function) so sites join cleanly against
-    :class:`~repro.analysis.callgraph.FunctionFacts` keys.
-    """
-    imports = ImportMap().collect(tree)
-    sites: List[LifeSite] = []
-    module_stmts: List[ast.stmt] = []
-
-    def scan_body(body: Sequence[ast.stmt],
-                  owner_class: Optional[str]) -> None:
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = (node.name if owner_class is None
-                            else f"{owner_class}.{node.name}")
-                scanner = _LifeScanner(qualname, owner_class, imports,
-                                       sites)
-                scanner.scan(node.body)
-                scanner.finish()
-            elif isinstance(node, ast.ClassDef) and owner_class is None:
-                scan_body(node.body, node.name)
-            elif isinstance(node, ast.If) and owner_class is None:
-                if not _is_type_checking(node.test):
-                    scan_body(node.body, None)
-                    scan_body(node.orelse, None)
-            elif owner_class is None:
-                module_stmts.append(node)
-
-    scan_body(tree.body, None)
-    top = _LifeScanner("<module>", None, imports, sites)
-    top.scan(module_stmts)
-    top.finish()
-    return sites
 
 
 # -- the check ----------------------------------------------------------------
@@ -585,11 +406,13 @@ def _index_sites(
         sites_by_module: Mapping[str, Sequence[LifeSite]],
 ) -> Tuple[Dict[FunctionKey, List[LifeSite]],
            Dict[FunctionKey, List[LifeSite]],
-           List[Tuple[ModuleFacts, LifeSite, FunctionKey]]]:
-    """(acquires per function, blocking per function, resolved held-calls)."""
+           List[Tuple[ModuleFacts, LifeSite, List[FunctionKey]]]]:
+    """(acquires per function, blocking per function, held-calls with
+    the sorted call-graph closure of their resolved callee)."""
     acquires: Dict[FunctionKey, List[LifeSite]] = {}
     blocking: Dict[FunctionKey, List[LifeSite]] = {}
-    held_calls: List[Tuple[ModuleFacts, LifeSite, FunctionKey]] = []
+    held_calls: List[Tuple[ModuleFacts, LifeSite, List[FunctionKey]]] = []
+    closures: Dict[FunctionKey, List[FunctionKey]] = {}
     for module_name in sorted(sites_by_module):
         facts = graph.modules.get(module_name)
         if facts is None:
@@ -603,15 +426,18 @@ def _index_sites(
             elif site.kind == "held-call":
                 target = _resolve_raw_callee(graph, facts,
                                              site.function, site.name)
-                if target is not None:
-                    held_calls.append((facts, site, target))
+                if target is None:
+                    continue
+                if target not in closures:
+                    closures[target] = sorted(graph.reachable_from([target]))
+                held_calls.append((facts, site, closures[target]))
     return acquires, blocking, held_calls
 
 
 def _check_lock_order(
         graph: ProjectGraph,
         acquires: Mapping[FunctionKey, Sequence[LifeSite]],
-        held_calls: Sequence[Tuple[ModuleFacts, LifeSite, FunctionKey]],
+        held_calls: Sequence[Tuple[ModuleFacts, LifeSite, List[FunctionKey]]],
 ) -> List[Violation]:
     """RA801: cycles in the acquired-while-holding graph."""
     edges: Dict[Tuple[str, str], _Edge] = {}
@@ -634,11 +460,8 @@ def _check_lock_order(
                 add_edge(_qualify(key[0], held),
                          _qualify(key[0], site.name), facts, site)
 
-    closures: Dict[FunctionKey, Dict[FunctionKey, FunctionKey]] = {}
-    for facts, site, target in held_calls:
-        if target not in closures:
-            closures[target] = graph.reachable_from([target])
-        for reached in sorted(closures[target]):
+    for facts, site, closure in held_calls:
+        for reached in closure:
             for acquired in acquires.get(reached, ()):
                 far = graph.modules[reached[0]]
                 via = (f"`{acquired.name}` acquired at "
@@ -687,7 +510,7 @@ def _check_lock_order(
 def _check_blocking(
         graph: ProjectGraph,
         blocking: Mapping[FunctionKey, Sequence[LifeSite]],
-        held_calls: Sequence[Tuple[ModuleFacts, LifeSite, FunctionKey]],
+        held_calls: Sequence[Tuple[ModuleFacts, LifeSite, List[FunctionKey]]],
 ) -> List[Violation]:
     """RA802: blocking calls executed while a lock is held."""
     violations: List[Violation] = []
@@ -704,20 +527,16 @@ def _check_blocking(
             if marker in reported:
                 continue
             reported.add(marker)
-            violations.append(Violation(
-                path=facts.display_path, line=site.lineno,
-                col=site.col, code="RA802",
-                message=(f"blocking {site.name} inside `with "
-                         f"{site.held[-1]}:` in `{site.function}` can "
-                         "stall every thread contending for the lock; "
-                         "move it outside the critical section or "
-                         "bound it with `timeout=`")))
+            violations.append(facts.violation(
+                site, "RA802",
+                (f"blocking {site.name} inside `with "
+                 f"{site.held[-1]}:` in `{site.function}` can "
+                 "stall every thread contending for the lock; "
+                 "move it outside the critical section or "
+                 "bound it with `timeout=`")))
 
-    closures: Dict[FunctionKey, Dict[FunctionKey, FunctionKey]] = {}
-    for facts, call_site, target in held_calls:
-        if target not in closures:
-            closures[target] = graph.reachable_from([target])
-        for reached in sorted(closures[target]):
+    for facts, call_site, closure in held_calls:
+        for reached in closure:
             # `_locked`-suffixed helpers document deliberate
             # under-lock work (the RA502 convention): exempt
             if reached[1].split(".")[-1].endswith("_locked"):
@@ -733,18 +552,17 @@ def _check_blocking(
                 if marker in reported:
                     continue
                 reported.add(marker)
-                violations.append(Violation(
-                    path=far.display_path, line=site.lineno,
-                    col=site.col, code="RA802",
-                    message=(f"blocking {site.name} in "
-                             f"`{site.function}` runs while `{lock}` "
-                             "is held (called via "
-                             f"{facts.display_path}:{call_site.lineno} "
-                             f"in `{call_site.function}`); move it off "
-                             "the locked path, bound it with "
-                             "`timeout=`, or suffix the helper "
-                             "`_locked` if holding the lock here is "
-                             "deliberate")))
+                violations.append(far.violation(
+                    site, "RA802",
+                    (f"blocking {site.name} in "
+                     f"`{site.function}` runs while `{lock}` "
+                     "is held (called via "
+                     f"{facts.display_path}:{call_site.lineno} "
+                     f"in `{call_site.function}`); move it off "
+                     "the locked path, bound it with "
+                     "`timeout=`, or suffix the helper "
+                     "`_locked` if holding the lock here is "
+                     "deliberate")))
     return violations
 
 
@@ -757,11 +575,12 @@ def _scope_for(site: LifeSite) -> str:
     return site.function
 
 
-def _check_thread_lifecycle(
+def _check_threads_and_resources(
         graph: ProjectGraph,
         sites_by_module: Mapping[str, Sequence[LifeSite]],
 ) -> List[Violation]:
-    """RA803: started-but-never-reaped and unbounded shutdown joins."""
+    """RA803 (started-but-never-reaped threads and unbounded shutdown
+    joins) and RA805 (resources that never escape and are never closed)."""
     violations: List[Violation] = []
     for module_name in sorted(sites_by_module):
         facts = graph.modules.get(module_name)
@@ -781,6 +600,14 @@ def _check_thread_lifecycle(
                 reaped.add(group)
             elif site.kind == "join-bare":
                 bare_joins.append(site)
+            elif (site.kind == "resource"
+                    and not facts.is_suppressed(site.lineno, "RA805")):
+                violations.append(facts.violation(
+                    site, "RA805",
+                    (f"`{site.detail}(...)` result `{site.name}` "
+                     f"is never closed in `{site.function}` and "
+                     "never leaves it; close it on every path or "
+                     "use a `with` block")))
         for group in sorted(starts):
             ctor = ctors.get(group)
             if ctor is None or group in reaped:
@@ -789,14 +616,13 @@ def _check_thread_lifecycle(
             if facts.is_suppressed(start.lineno, "RA803"):
                 continue
             scope, receiver = group
-            violations.append(Violation(
-                path=facts.display_path, line=start.lineno,
-                col=start.col, code="RA803",
-                message=(f"`{receiver}` ({ctor.detail}) is started but "
-                         f"never joined, terminated, or killed in "
-                         f"`{scope}`; reap it on the shutdown path so "
-                         "exits cannot leak a live "
-                         f"{ctor.detail.lower()}")))
+            violations.append(facts.violation(
+                start, "RA803",
+                (f"`{receiver}` ({ctor.detail}) is started but "
+                 f"never joined, terminated, or killed in "
+                 f"`{scope}`; reap it on the shutdown path so "
+                 "exits cannot leak a live "
+                 f"{ctor.detail.lower()}")))
         for site in bare_joins:
             terminal = site.function.split(".")[-1]
             if terminal not in _SHUTDOWN_NAMES:
@@ -809,40 +635,14 @@ def _check_thread_lifecycle(
                 continue
             if facts.is_suppressed(site.lineno, "RA803"):
                 continue
-            violations.append(Violation(
-                path=facts.display_path, line=site.lineno,
-                col=site.col, code="RA803",
-                message=(f"`{site.name}.join()` without `timeout=` on "
-                         f"shutdown path `{site.function}` hangs "
-                         "forever if the worker is wedged; join with "
-                         "a timeout and escalate (terminate/kill, "
-                         "then surface the stuck worker as an "
-                         "error)")))
-    return violations
-
-
-def _check_resources(
-        graph: ProjectGraph,
-        sites_by_module: Mapping[str, Sequence[LifeSite]],
-) -> List[Violation]:
-    """RA805: resources that never escape and are never closed."""
-    violations: List[Violation] = []
-    for module_name in sorted(sites_by_module):
-        facts = graph.modules.get(module_name)
-        if facts is None:
-            continue
-        for site in sites_by_module[module_name]:
-            if site.kind != "resource":
-                continue
-            if facts.is_suppressed(site.lineno, "RA805"):
-                continue
-            violations.append(Violation(
-                path=facts.display_path, line=site.lineno,
-                col=site.col, code="RA805",
-                message=(f"`{site.detail}(...)` result `{site.name}` "
-                         f"is never closed in `{site.function}` and "
-                         "never leaves it; close it on every path or "
-                         "use a `with` block")))
+            violations.append(facts.violation(
+                site, "RA803",
+                (f"`{site.name}.join()` without `timeout=` on "
+                 f"shutdown path `{site.function}` hangs "
+                 "forever if the worker is wedged; join with "
+                 "a timeout and escalate (terminate/kill, "
+                 "then surface the stuck worker as an "
+                 "error)")))
     return violations
 
 
@@ -854,10 +654,8 @@ def check_lifecycle(
     acquires, blocking, held_calls = _index_sites(graph, sites_by_module)
     violations = _check_lock_order(graph, acquires, held_calls)
     violations.extend(_check_blocking(graph, blocking, held_calls))
-    violations.extend(_check_thread_lifecycle(graph, sites_by_module))
-    violations.extend(_check_resources(graph, sites_by_module))
+    violations.extend(_check_threads_and_resources(graph, sites_by_module))
     return violations
 
 
-__all__: Tuple[str, ...] = ("LifeSite", "extract_life_sites",
-                            "check_lifecycle")
+__all__: Tuple[str, ...] = ("LifeBuilder", "LifeSite", "check_lifecycle")

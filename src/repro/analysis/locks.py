@@ -30,16 +30,11 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from .base import Violation
-
-#: in-place mutating method names (mirrors callgraph's set)
-_MUTATING_METHODS = frozenset({
-    "append", "extend", "insert", "add", "update", "setdefault",
-    "pop", "popitem", "remove", "discard", "clear", "appendleft",
-    "extendleft",
-})
+from .callgraph import MUTATING_METHODS, ModuleFacts
+from .ir import is_lock_name
 
 
 def _self_attr(node: ast.expr) -> str:
@@ -49,10 +44,6 @@ def _self_attr(node: ast.expr) -> str:
             and node.value.id == "self"):
         return node.attr
     return ""
-
-
-def _is_lock_name(attr: str) -> bool:
-    return "lock" in attr.lower()
 
 
 @dataclass
@@ -81,7 +72,7 @@ class _MethodWalker(ast.NodeVisitor):
         self.lock_depth = 0
 
     def _record(self, attr: str, node: ast.AST, is_write: bool) -> None:
-        if _is_lock_name(attr):
+        if is_lock_name(attr):
             self.facts.lock_attrs.add(attr)
             return  # touching the lock itself is never a violation
         self.facts.accesses.append(_Access(
@@ -112,7 +103,7 @@ class _MethodWalker(ast.NodeVisitor):
                 attr = _self_attr(expr.func)
                 if attr and "." in attr:
                     attr = attr.split(".")[0]
-            if attr and _is_lock_name(attr):
+            if attr and is_lock_name(attr):
                 self.facts.lock_attrs.add(attr)
                 locks += 1
             else:
@@ -146,7 +137,7 @@ class _MethodWalker(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         # self.X.append(...) mutates X in place: count it as a write
         if isinstance(node.func, ast.Attribute) \
-                and node.func.attr in _MUTATING_METHODS:
+                and node.func.attr in MUTATING_METHODS:
             attr = _self_attr(node.func.value)
             if attr:
                 self._record(attr, node, is_write=True)
@@ -188,8 +179,8 @@ def _collect_class(node: ast.ClassDef) -> _ClassFacts:
 class LockFinding:
     """One off-lock access of a guarded attribute (pre-suppression).
 
-    Findings are JSON round-trippable because the project cache stores
-    them next to the module facts — a warm run renders RA502 without
+    Findings are plain data because the project cache stores them next
+    to the module facts — a warm run renders RA502 without
     re-parsing the file.
     """
 
@@ -200,21 +191,6 @@ class LockFinding:
     method: str
     class_name: str
     guard_method: str       # a method that guards the attr (for context)
-
-    def to_json(self) -> Dict[str, object]:
-        return {"attr": self.attr, "lineno": self.lineno,
-                "col": self.col, "is_write": self.is_write,
-                "method": self.method, "class_name": self.class_name,
-                "guard_method": self.guard_method}
-
-    @classmethod
-    def from_json(cls, raw: Dict[str, object]) -> "LockFinding":
-        return cls(attr=str(raw["attr"]), lineno=int(raw["lineno"]),  # type: ignore[arg-type]
-                   col=int(raw["col"]),  # type: ignore[arg-type]
-                   is_write=bool(raw["is_write"]),
-                   method=str(raw["method"]),
-                   class_name=str(raw["class_name"]),
-                   guard_method=str(raw["guard_method"]))
 
 
 def find_lock_findings(tree: ast.Module) -> List[LockFinding]:
@@ -254,40 +230,25 @@ def find_lock_findings(tree: ast.Module) -> List[LockFinding]:
     return findings
 
 
-def violations_from_findings(
-        findings: List[LockFinding], display_path: str,
-        suppressed: Dict[int, Optional[FrozenSet[str]]]
-) -> List[Violation]:
-    """Render findings to violations, honouring the noqa map."""
+def violations_from_findings(findings: List[LockFinding],
+                             facts: ModuleFacts) -> List[Violation]:
+    """Render one module's findings to violations, honouring noqa."""
     violations: List[Violation] = []
     for finding in findings:
-        codes = suppressed.get(finding.lineno, frozenset())
-        if codes is None or "RA502" in codes:
+        if facts.is_suppressed(finding.lineno, "RA502"):
             continue
         action = "written" if finding.is_write else "read"
-        violations.append(Violation(
-            path=display_path,
-            line=finding.lineno,
-            col=finding.col,
-            code="RA502",
-            message=(f"`self.{finding.attr}` is {action} in "
-                     f"`{finding.class_name}.{finding.method}` outside "
-                     f"`with self.<lock>:` but is lock-guarded in "
-                     f"`{finding.class_name}.{finding.guard_method}`; "
-                     "take the lock, or suffix the method `_locked` if "
-                     "callers must hold it"),
-        ))
+        violations.append(facts.violation(
+            finding, "RA502",
+            f"`self.{finding.attr}` is {action} in "
+            f"`{finding.class_name}.{finding.method}` outside "
+            f"`with self.<lock>:` but is lock-guarded in "
+            f"`{finding.class_name}.{finding.guard_method}`; "
+            "take the lock, or suffix the method `_locked` if "
+            "callers must hold it"))
     return violations
-
-
-def check_locks(tree: ast.Module, display_path: str,
-                suppressed: Dict[int, Optional[FrozenSet[str]]]
-                ) -> List[Violation]:
-    """RA502 violations for one parsed module (parse + render)."""
-    return violations_from_findings(find_lock_findings(tree),
-                                    display_path, suppressed)
 
 
 #: explicit export list keeps the package surface deliberate
 __all__: Tuple[str, ...] = ("LockFinding", "find_lock_findings",
-                            "violations_from_findings", "check_locks")
+                            "violations_from_findings")

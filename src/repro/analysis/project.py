@@ -3,20 +3,24 @@
 ``repro lint --project`` upgrades the linter from per-file pattern
 checks to semantic, cross-module rules:
 
-1. every module is parsed **once** and summarised into
-   :class:`~repro.analysis.callgraph.ModuleFacts` (plus the per-file
-   rule violations and RA502 lock findings),
+1. every module is parsed **once** into a
+   :class:`~repro.analysis.ir.ModuleIR` and summarised by
+   :func:`extract_file` into a :class:`FileAnalysis`: the per-file
+   rule violations, :class:`~repro.analysis.callgraph.ModuleFacts`,
+   RA502 lock findings, and the RA7xx/RA8xx sites,
 2. the summaries are linked into a
    :class:`~repro.analysis.callgraph.ProjectGraph`,
 3. the project rules run over the graph — RA501 (shared-state races
    reachable from pool dispatches), RA502 (lock discipline, rendered
    from per-class findings), RA601 (the ``[tool.repro.layers]``
-   architecture contract).
+   architecture contract), the RA7xx determinism dataflow and the
+   RA8xx lifecycle/durability wave.
 
 The per-file step is cached on disk keyed by a SHA-256 of the file's
 *content* plus the analysis parameters and a cache schema version, so
 a warm run re-analyzes only files that actually changed; everything
-else is loaded as JSON facts and re-linked.  Linking and the project
+else is loaded from JSON (one dataclass codec,
+:func:`~repro.analysis.base.to_plain`/``from_plain``) and re-linked.  Linking and the project
 rules are cheap (no parsing), which is what makes whole-program
 analysis viable in a pre-commit hook.  Cache entries are self-contained
 and content-addressed, so the cache directory is safe to delete at any
@@ -28,23 +32,25 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (Any, Callable, Dict, FrozenSet, List, Optional,
+                    Sequence, Set, Tuple, TypeVar)
 
-from .base import DEFAULT_HOT_PACKAGES, PROJECT_RULES, Violation, \
-    ruleset_fingerprint
+from .base import (DEFAULT_HOT_PACKAGES, PROJECT_RULES, Violation,
+                   from_plain, ruleset_fingerprint, to_plain)
 from .callgraph import ModuleFacts, ProjectGraph, extract_facts, \
     module_name_for
-from .dataflow import DetSite, DeterminismConfig, check_determinism, \
-    extract_det_sites, find_determinism_config
-from .durability import DuraSite, DurabilityConfig, check_durability, \
-    extract_dura_sites, find_durability_config
+from .dataflow import DetBuilder, DetSite, DeterminismConfig, \
+    check_determinism, find_determinism_config
+from .durability import DuraBuilder, DuraSite, DurabilityConfig, \
+    check_durability, find_durability_config
 from .engine import AnalysisReport, analyze_parsed, display_for, \
-    iter_python_files
+    iter_python_files, parse_or_violation
 from .fixer import fix_for_site
+from .ir import ModuleIR
 from .layers import LayerConfig, check_layers, find_layer_config
-from .lifecycle import LifeSite, check_lifecycle, extract_life_sites
+from .lifecycle import LifeBuilder, LifeSite, check_lifecycle
 from .locks import LockFinding, find_lock_findings, \
     violations_from_findings
 from .races import check_races
@@ -53,60 +59,57 @@ from .races import check_races
 #: stale entries are simply misses (their keys never match again).
 #: v2: determinism sites (RA7xx) joined the per-file payload.
 #: v3: lifecycle and durability sites (RA8xx) joined the payload.
-CACHE_SCHEMA_VERSION = 3
+#: v4: one dataclass codec for the whole payload (field names as keys).
+CACHE_SCHEMA_VERSION = 4
+
+#: the contract tables whose scope a run checks (RA700/RA800)
+_Table = TypeVar("_Table", DeterminismConfig, DurabilityConfig)
 
 #: default cache location, relative to the current working directory
 DEFAULT_CACHE_DIR = Path(".repro-lint-cache")
 
 
 @dataclass
-class _FileAnalysis:
+class FileAnalysis:
     """Everything project mode derives from one file."""
 
     facts: Optional[ModuleFacts]            # None when the parse failed
     violations: List[Violation]             # per-file rules (post-noqa)
-    lock_findings: List[LockFinding]
-    det_sites: List[DetSite]                # raw RA7xx sites (pre-noqa)
-    life_sites: List[LifeSite]              # raw RA801/802/803/805 sites
-    dura_sites: List[DuraSite]              # raw RA804 sites
+    lock_findings: List[LockFinding] = field(default_factory=list)
+    det_sites: List[DetSite] = field(default_factory=list)    # RA7xx
+    life_sites: List[LifeSite] = field(default_factory=list)  # RA801-3/5
+    dura_sites: List[DuraSite] = field(default_factory=list)  # RA804
 
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "facts": None if self.facts is None else self.facts.to_json(),
-            # paths are display-relative and recomputed on load, so the
-            # cache stays valid when the run's cwd or root changes
-            "violations": [{"line": v.line, "col": v.col,
-                            "code": v.code, "message": v.message}
-                           for v in self.violations],
-            "lock_findings": [f.to_json() for f in self.lock_findings],
-            "det_sites": [s.to_json() for s in self.det_sites],
-            "life_sites": [s.to_json() for s in self.life_sites],
-            "dura_sites": [s.to_json() for s in self.dura_sites],
-        }
+    def with_display(self, display: str) -> "FileAnalysis":
+        """This entry with its paths shown as ``display``.
 
-    @classmethod
-    def from_json(cls, raw: Dict[str, object],
-                  display: str) -> "_FileAnalysis":
-        facts = None
-        if raw.get("facts") is not None:
-            facts = ModuleFacts.from_json(raw["facts"])  # type: ignore[arg-type]
-            facts.display_path = display
-        violations = [
-            Violation(path=display, line=int(v["line"]),
-                      col=int(v["col"]), code=str(v["code"]),
-                      message=str(v["message"]))
-            for v in raw.get("violations", ())]  # type: ignore[union-attr]
-        lock_findings = [LockFinding.from_json(f)
-                         for f in raw.get("lock_findings", ())]  # type: ignore[union-attr]
-        det_sites = [DetSite.from_json(s)
-                     for s in raw.get("det_sites", ())]  # type: ignore[union-attr]
-        life_sites = [LifeSite.from_json(s)
-                      for s in raw.get("life_sites", ())]  # type: ignore[union-attr]
-        dura_sites = [DuraSite.from_json(s)
-                      for s in raw.get("dura_sites", ())]  # type: ignore[union-attr]
-        return cls(facts=facts, violations=violations,
-                   lock_findings=lock_findings, det_sites=det_sites,
-                   life_sites=life_sites, dura_sites=dura_sites)
+        Cached entries are keyed by content, not location, so the paths
+        they carry are recomputed for the run that loads them.
+        """
+        if self.facts is not None:
+            self.facts.display_path = display
+        self.violations = [replace(v, path=display)
+                           for v in self.violations]
+        return self
+
+
+def extract_file(tree: ast.Module, source: str, path: Path,
+                 display: str, hot_packages: FrozenSet[str],
+                 internal_roots: FrozenSet[str]) -> FileAnalysis:
+    """The single per-file pass: one :class:`ModuleIR` feeds the
+    per-file checkers, the call-graph facts, and every site builder."""
+    ir = ModuleIR(tree)
+    violations = analyze_parsed(source, path, tree,
+                                hot_packages=hot_packages,
+                                display_path=display, imports=ir.imports)
+    facts = extract_facts(tree, source, path, display, internal_roots,
+                          ir=ir)
+    det, life, dura = DetBuilder(ir), LifeBuilder(ir), DuraBuilder(ir)
+    ir.walk_sites([det, life, dura])
+    return FileAnalysis(facts=facts, violations=violations,
+                        lock_findings=find_lock_findings(tree),
+                        det_sites=det.sites, life_sites=life.sites,
+                        dura_sites=dura.sites)
 
 
 class ProjectCache:
@@ -136,130 +139,80 @@ class ProjectCache:
             return None
         return self.cache_dir / f"{key}.json"
 
-    def get(self, key: str, display: str) -> Optional[_FileAnalysis]:
+    def get(self, key: str, display: str) -> Optional[FileAnalysis]:
         path = self._path_for(key)
         if path is None or not path.is_file():
             self.misses += 1
             return None
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
-            entry = _FileAnalysis.from_json(raw, display)
-        except (ValueError, KeyError, TypeError):
+            entry = from_plain(FileAnalysis, raw).with_display(display)
+        except (ValueError, KeyError, TypeError, AttributeError):
             # a corrupt entry is just a miss; it will be rewritten
             self.misses += 1
             return None
         self.hits += 1
         return entry
 
-    def put(self, key: str, entry: _FileAnalysis) -> None:
+    def put(self, key: str, entry: FileAnalysis) -> None:
         path = self._path_for(key)
         if path is None:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(entry.to_json(), sort_keys=True),
+        tmp.write_text(json.dumps(to_plain(entry), sort_keys=True),
                        encoding="utf-8")
         tmp.replace(path)  # atomic: parallel lint runs never see torn JSON
 
 
 def _analyze_file(file_path: Path, source: str, display: str,
                   hot_packages: FrozenSet[str],
-                  internal_roots: FrozenSet[str]) -> _FileAnalysis:
-    try:
-        tree = ast.parse(source, filename=str(file_path))
-    except SyntaxError as exc:
-        return _FileAnalysis(
-            facts=None,
-            violations=[Violation(
-                path=display, line=exc.lineno or 1,
-                col=(exc.offset or 0) + 1, code="RA000",
-                message=f"syntax error: {exc.msg}")],
-            lock_findings=[], det_sites=[], life_sites=[],
-            dura_sites=[])
-    violations = analyze_parsed(source, file_path, tree,
-                                hot_packages=hot_packages,
-                                display_path=display)
-    facts = extract_facts(tree, source, file_path, display,
-                          internal_roots)
-    return _FileAnalysis(facts=facts, violations=violations,
-                         lock_findings=find_lock_findings(tree),
-                         det_sites=extract_det_sites(tree),
-                         life_sites=extract_life_sites(tree),
-                         dura_sites=extract_dura_sites(tree))
+                  internal_roots: FrozenSet[str]) -> FileAnalysis:
+    tree = parse_or_violation(source, file_path, display)
+    if isinstance(tree, Violation):
+        return FileAnalysis(facts=None, violations=[tree])
+    return extract_file(tree, source, file_path, display, hot_packages,
+                        internal_roots)
 
 
-def _determinism_scope_warnings(
-        files: Sequence[Tuple[Path, str]],
-        config: DeterminismConfig) -> List[Violation]:
-    """RA700 when one run spans pyprojects with different contract tables.
+def _resolve_table(files: Sequence[Tuple[Path, str]],
+                   find: Callable[[Path], Optional[_Table]], code: str,
+                   table: str, applied: str,
+                   violations: List[Violation]) -> Optional[_Table]:
+    """The table governing the first analyzed path, plus RA700/RA800
+    warnings when the run spans pyprojects with different tables.
 
-    The determinism table is resolved once, from the first analyzed
-    path (mirroring the layer-config behavior).  A file that actually
-    sits under a *different* pyproject would silently inherit the wrong
-    contracts, so each distinct foreign root draws one warning naming
-    both tables instead of being checked against the wrong one in
-    silence.
+    A file that actually sits under a *different* pyproject would
+    silently inherit the wrong table, so each distinct foreign root
+    draws one ``code`` warning naming both tables instead of being
+    checked against the wrong one in silence.
     """
-    warnings: List[Violation] = []
+    config = find(files[0][0])
+    if config is None:
+        return None
+    source = config.source
     source_by_dir: Dict[Path, Optional[str]] = {}
     flagged: Set[str] = set()
     for path, display in files:
         directory = path.resolve().parent
         if directory not in source_by_dir:
-            found = find_determinism_config(directory)
+            found = find(directory)
             source_by_dir[directory] = (None if found is None
                                         else found.source)
-        source = source_by_dir[directory]
-        if source == config.source:
+        governing = source_by_dir[directory]
+        if governing == source:
             continue
-        label = source or "<no determinism table>"
+        label = governing or f"<no {table} table>"
         if label in flagged:
             continue
         flagged.add(label)
-        warnings.append(Violation(
-            path=display, line=1, col=1, code="RA700",
+        violations.append(Violation(
+            path=display, line=1, col=1, code=code,
             message=(f"file is governed by {label}, but this run "
-                     f"applied the contracts from {config.source} "
-                     "(resolved from the first analyzed path); lint "
-                     "each root separately or pass one explicit "
-                     "config")))
-    return warnings
-
-
-def _durability_scope_warnings(
-        files: Sequence[Tuple[Path, str]],
-        config: DurabilityConfig) -> List[Violation]:
-    """RA800 when one run spans pyprojects with different artifact tables.
-
-    Mirrors :func:`_determinism_scope_warnings`: the durability table
-    is resolved once from the first analyzed path, and each distinct
-    foreign root draws one warning rather than being silently checked
-    against the wrong artifact patterns.
-    """
-    warnings: List[Violation] = []
-    source_by_dir: Dict[Path, Optional[str]] = {}
-    flagged: Set[str] = set()
-    for path, display in files:
-        directory = path.resolve().parent
-        if directory not in source_by_dir:
-            found = find_durability_config(directory)
-            source_by_dir[directory] = (None if found is None
-                                        else found.source)
-        source = source_by_dir[directory]
-        if source == config.source:
-            continue
-        label = source or "<no durability table>"
-        if label in flagged:
-            continue
-        flagged.add(label)
-        warnings.append(Violation(
-            path=display, line=1, col=1, code="RA800",
-            message=(f"file is governed by {label}, but this run "
-                     f"applied the artifact patterns from "
-                     f"{config.source} (resolved from the first "
-                     "analyzed path); lint each root separately or "
-                     "pass one explicit config")))
-    return warnings
+                     f"applied the {applied} from {source} (resolved "
+                     "from the first analyzed path); lint each root "
+                     "separately or pass one explicit config")))
+    return config
 
 
 def analyze_project(paths: Sequence[Path],
@@ -309,7 +262,7 @@ def analyze_project(paths: Sequence[Path],
     cache = ProjectCache(cache_dir, params_key)
 
     report = AnalysisReport(cache_hits=0, cache_misses=0)
-    analyses: List[_FileAnalysis] = []
+    analyses: List[FileAnalysis] = []
     for file_path, display in files:
         content = file_path.read_bytes()
         key = cache.key_for(content, module_names[file_path])
@@ -329,19 +282,23 @@ def analyze_project(paths: Sequence[Path],
         if entry.facts is None:
             continue
         modules.append(entry.facts)
-        violations.extend(violations_from_findings(
-            entry.lock_findings, entry.facts.display_path,
-            entry.facts.suppressed))
+        violations.extend(violations_from_findings(entry.lock_findings,
+                                                   entry.facts))
 
     graph = ProjectGraph.link(modules)
     violations.extend(check_races(graph))
 
-    life_by_module: Dict[str, List[LifeSite]] = {}
-    for entry in analyses:
-        if entry.facts is not None:
-            life_by_module.setdefault(
-                entry.facts.module, []).extend(entry.life_sites)
-    violations.extend(check_lifecycle(graph, life_by_module))
+    def by_module(sites: Callable[[FileAnalysis], List[Any]]
+                  ) -> Dict[str, List[Any]]:
+        grouped: Dict[str, List[Any]] = {}
+        for entry in analyses:
+            if entry.facts is not None:
+                grouped.setdefault(entry.facts.module, []).extend(
+                    sites(entry))
+        return grouped
+
+    violations.extend(check_lifecycle(
+        graph, by_module(lambda entry: entry.life_sites)))
 
     if layer_config is None and files:
         layer_config = find_layer_config(files[0][0])
@@ -349,18 +306,12 @@ def analyze_project(paths: Sequence[Path],
         violations.extend(check_layers(modules, layer_config))
 
     if determinism is None and files:
-        determinism = find_determinism_config(files[0][0])
-        if determinism is not None:
-            violations.extend(
-                _determinism_scope_warnings(files, determinism))
+        determinism = _resolve_table(files, find_determinism_config,
+                                     "RA700", "determinism", "contracts",
+                                     violations)
     if determinism is not None:
-        sites_by_module: Dict[str, List[DetSite]] = {}
-        for entry in analyses:
-            if entry.facts is not None:
-                sites_by_module.setdefault(
-                    entry.facts.module, []).extend(entry.det_sites)
         det_violations, fixable = check_determinism(
-            graph, sites_by_module, determinism)
+            graph, by_module(lambda entry: entry.det_sites), determinism)
         violations.extend(det_violations)
         path_for_display = {display: str(path)
                             for path, display in files}
@@ -375,18 +326,12 @@ def analyze_project(paths: Sequence[Path],
                 report.fixes.append(fix)
 
     if durability is None and files:
-        durability = find_durability_config(files[0][0])
-        if durability is not None:
-            violations.extend(
-                _durability_scope_warnings(files, durability))
+        durability = _resolve_table(files, find_durability_config,
+                                    "RA800", "durability",
+                                    "artifact patterns", violations)
     if durability is not None:
-        dura_by_module: Dict[str, List[DuraSite]] = {}
-        for entry in analyses:
-            if entry.facts is not None:
-                dura_by_module.setdefault(
-                    entry.facts.module, []).extend(entry.dura_sites)
-        violations.extend(
-            check_durability(graph, dura_by_module, durability))
+        violations.extend(check_durability(
+            graph, by_module(lambda entry: entry.dura_sites), durability))
 
     if select is not None:
         violations = [v for v in violations if v.code in select]
@@ -397,5 +342,6 @@ def analyze_project(paths: Sequence[Path],
 
 
 #: re-exported so callers can reason about which codes need --project
-__all__ = ["CACHE_SCHEMA_VERSION", "DEFAULT_CACHE_DIR", "ProjectCache",
-           "analyze_project", "PROJECT_RULES"]
+__all__ = ["CACHE_SCHEMA_VERSION", "DEFAULT_CACHE_DIR", "FileAnalysis",
+           "ProjectCache", "analyze_project", "extract_file",
+           "PROJECT_RULES"]

@@ -78,16 +78,12 @@ def check_races(graph: ProjectGraph) -> List[Violation]:
                 what = f"writes class attribute `{write.target}`"
             else:
                 what = f"mutates module-level `{write.target}` in place"
-            violations.append(Violation(
-                path=module.display_path,
-                line=write.lineno,
-                col=write.col,
-                code="RA501",
-                message=(f"`{key[1]}` {what} but {reach} "
-                         f"(dispatch at {described[root]}); worker "
-                         "writes never merge back — pass state "
-                         "explicitly, or mark deliberate per-process "
-                         "state with `# repro: noqa[RA501]` and a "
-                         "why-comment"),
-            ))
+            violations.append(module.violation(
+                write, "RA501",
+                (f"`{key[1]}` {what} but {reach} "
+                 f"(dispatch at {described[root]}); worker "
+                 "writes never merge back — pass state "
+                 "explicitly, or mark deliberate per-process "
+                 "state with `# repro: noqa[RA501]` and a "
+                 "why-comment")))
     return sorted(violations)

@@ -41,8 +41,11 @@ __all__ = [
 ]
 
 #: default histogram layout for latencies in seconds: sub-millisecond
-#: batched queries up through multi-second strict rebuilds
+#: batched queries up through multi-second strict rebuilds.  The 100 µs
+#: to 500 µs buckets resolve daemon queries, whose median sits near
+#: 0.3–0.4 ms and would otherwise all land in the first bucket
 DEFAULT_TIME_BUCKETS: Tuple[float, ...] = (
+    0.0001, 0.00025, 0.0005,
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )

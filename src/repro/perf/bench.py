@@ -9,11 +9,10 @@ Six suites, selectable with ``--suite`` (default runs all):
   from-scratch daily retrain latency over the rolling window, batched
   prediction throughput, and batched vs per-flow ``what_if``.
 * ``lint`` — whole-tree ``repro lint --project`` over this repo's own
-  source, cold cache vs warm, plus the RA7xx determinism-dataflow and
-  RA8xx lifecycle/durability stages each split into site extraction
-  (the per-miss cost) and the link (the floor every warm run pays), so
-  the incremental analysis cache's benefit is tracked like every other
-  hot path.
+  source, cold cache vs warm, plus the single per-file extraction pass
+  (the per-miss cost) and the RA7xx and RA8xx link stages (the floor
+  every warm run pays), so the incremental analysis cache's benefit is
+  tracked like every other hot path.
 * ``store`` — the persistence boundary (``repro.store``,
   ``docs/storage.md``): snapshot write throughput, restart latency to
   the first served prediction, and out-of-core retrain throughput over
@@ -52,15 +51,13 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..analysis import (analyze_project, check_determinism,
-                        check_durability, check_lifecycle,
-                        extract_det_sites, extract_dura_sites,
-                        extract_life_sites, find_determinism_config,
-                        find_durability_config)
-from ..analysis.callgraph import (ModuleFacts, ProjectGraph,
-                                  extract_facts)
+from ..analysis import (DEFAULT_HOT_PACKAGES, FileAnalysis,
+                        analyze_project, check_determinism,
+                        check_durability, check_lifecycle, extract_file,
+                        find_determinism_config, find_durability_config)
+from ..analysis.callgraph import ProjectGraph
 from ..bgp import (IngressSimulator, SimulatorParams, compute_routing_table,
                    default_bias, update_routing_table)
 from ..core.features import FEATURES_A, FEATURES_AL, FEATURES_AP
@@ -298,97 +295,64 @@ def _bench_lint(report: BenchReport, rounds: int) -> None:
           f"({cold_s / warm_s:.1f}x)")
 
 
-def _bench_lint_dataflow(report: BenchReport, rounds: int) -> None:
-    """RA7xx determinism dataflow: site extraction vs contract link.
+def _bench_lint_passes(report: BenchReport, rounds: int) -> None:
+    """Per-file extraction vs the link-time rule waves.
 
-    Two metrics mirror the cache design (``docs/static-analysis.md``):
-    *extraction* (per-file scan for determinism sites) is the cold-path
-    cost paid once per cache miss; the *link* (entry-point resolution,
-    reachability, reporting over the whole graph) is recomputed on
-    every run, warm or cold — so it is the floor a fully-warm
-    ``repro lint --project`` cannot go below.
+    Mirrors the cache design (``docs/static-analysis.md``): the single
+    per-file pass (:func:`~repro.analysis.project.extract_file` — one
+    :class:`~repro.analysis.ir.ModuleIR` feeding the per-file rules,
+    the call-graph facts and every site builder) is the cold-path cost
+    paid once per cache miss; the *link* checks (RA7xx reachability,
+    lock-order cycles, transitive blocking, thread lifecycle, the
+    durability protocol) rerun on every run, warm or cold — so they are
+    the floor a fully-warm ``repro lint --project`` cannot go below.
     """
     src_root = Path(__file__).resolve().parents[2]
     target = src_root / "repro"
-    parsed: List[Tuple[ast.Module, ModuleFacts]] = []
+    parsed: List[Tuple[ast.Module, str, Path, str]] = []
     for path in sorted(target.rglob("*.py")):
         source = path.read_text(encoding="utf-8")
-        tree = ast.parse(source)
-        display = str(path.relative_to(src_root))
-        parsed.append((tree, extract_facts(
-            tree, source, path, display, frozenset({"repro"}))))
-    config = find_determinism_config(target)
-    if config is None:  # pragma: no cover - repo always has the table
-        return
+        parsed.append((ast.parse(source), source, path,
+                       str(path.relative_to(src_root))))
+    determinism = find_determinism_config(target)
+    durability = find_durability_config(target)
+    if determinism is None or durability is None:  # pragma: no cover
+        return  # the repo always has both tables
     n_files = len(parsed)
+    roots = frozenset({"repro"})
 
-    def extract() -> None:
-        for tree, _facts in parsed:
-            extract_det_sites(tree)
+    def extract() -> List[FileAnalysis]:
+        return [extract_file(tree, source, path, display,
+                             DEFAULT_HOT_PACKAGES, roots)
+                for tree, source, path, display in parsed]
 
     extract_s = _best_of(extract, rounds)
-    report.record("lint_dataflow_extract_files_per_s",
-                  n_files / extract_s)
-    print(f"  dataflow (extract): {n_files / extract_s:8.0f} files/s "
+    report.record("lint_extract_files_per_s", n_files / extract_s)
+    print(f"  lint (extract):     {n_files / extract_s:8.0f} files/s "
           f"(cold, {n_files} files)")
 
-    graph = ProjectGraph.link([facts for _tree, facts in parsed])
-    sites_by_module = {
-        facts.module: extract_det_sites(tree)
-        for tree, facts in parsed}
+    analyses = extract()
+    graph = ProjectGraph.link([a.facts for a in analyses
+                               if a.facts is not None])
 
-    def link() -> None:
-        check_determinism(graph, sites_by_module, config)
+    def by_module(sites: Callable[[FileAnalysis], List[Any]]
+                  ) -> Dict[str, List[Any]]:
+        return {a.facts.module: sites(a) for a in analyses
+                if a.facts is not None}
 
-    link_s = _best_of(link, rounds)
+    det_sites = by_module(lambda a: a.det_sites)
+    life_sites = by_module(lambda a: a.life_sites)
+    dura_sites = by_module(lambda a: a.dura_sites)
+
+    link_s = _best_of(
+        lambda: check_determinism(graph, det_sites, determinism), rounds)
     report.record("lint_dataflow_link_runs_per_s", 1.0 / link_s)
     print(f"  dataflow (link):    {link_s * 1e3:8.1f} ms/run "
           f"(warm floor, {1.0 / link_s:.1f} runs/s)")
 
-
-def _bench_lint_lifecycle(report: BenchReport, rounds: int) -> None:
-    """RA8xx lifecycle/durability wave: site extraction vs link.
-
-    Same split as the dataflow stage: per-file extraction of lifecycle
-    and durability sites is the cache-miss cost, while the link-time
-    checks (lock-order cycles, transitive blocking, thread lifecycle,
-    the durability protocol) rerun on every warm ``--project`` pass and
-    add to its floor.
-    """
-    src_root = Path(__file__).resolve().parents[2]
-    target = src_root / "repro"
-    parsed: List[Tuple[ast.Module, ModuleFacts]] = []
-    for path in sorted(target.rglob("*.py")):
-        source = path.read_text(encoding="utf-8")
-        tree = ast.parse(source)
-        display = str(path.relative_to(src_root))
-        parsed.append((tree, extract_facts(
-            tree, source, path, display, frozenset({"repro"}))))
-    durability = find_durability_config(target)
-    if durability is None:  # pragma: no cover - repo always has the table
-        return
-    n_files = len(parsed)
-
-    def extract() -> None:
-        for tree, _facts in parsed:
-            extract_life_sites(tree)
-            extract_dura_sites(tree)
-
-    extract_s = _best_of(extract, rounds)
-    report.record("lint_lifecycle_extract_files_per_s",
-                  n_files / extract_s)
-    print(f"  lifecycle (extract):{n_files / extract_s:8.0f} files/s "
-          f"(cold, {n_files} files)")
-
-    graph = ProjectGraph.link([facts for _tree, facts in parsed])
-    life_by_module = {facts.module: extract_life_sites(tree)
-                      for tree, facts in parsed}
-    dura_by_module = {facts.module: extract_dura_sites(tree)
-                      for tree, facts in parsed}
-
     def link() -> None:
-        check_lifecycle(graph, life_by_module)
-        check_durability(graph, dura_by_module, durability)
+        check_lifecycle(graph, life_sites)
+        check_durability(graph, dura_sites, durability)
 
     link_s = _best_of(link, rounds)
     report.record("lint_lifecycle_link_runs_per_s", 1.0 / link_s)
@@ -699,8 +663,7 @@ def run_bench(
     if suite in ("all", "lint"):
         with obs.span("bench.lint"):
             _bench_lint(report, rounds)
-            _bench_lint_dataflow(report, rounds)
-            _bench_lint_lifecycle(report, rounds)
+            _bench_lint_passes(report, rounds)
     if suite in ("all", "store"):
         with obs.span("bench.store"):
             _bench_store(report, profile, seed, rounds)

@@ -16,9 +16,13 @@ pointer assignment swaps it live, and finally the same hour is applied
 to the now-offline ex-live replica.  Readers take the live pointer and
 hold that replica's lock for the duration of one query:
 
-* a reader that grabbed the pointer before a swap finishes its query on
-  the *old* state (the writer waits for the replica lock before
-  mutating it);
+* a reader that locked the old replica before a swap finishes its
+  query on the *old* state (the writer waits for the replica lock
+  before mutating it);
+* a reader that read the pointer just before a swap but finds the
+  replica locked by the writer's trailing ingest re-reads the pointer
+  and moves to the new live replica instead of waiting out that ingest
+  (and any retrain it carries);
 * a reader arriving after the swap sees the *new* state;
 * no interleaving exposes a half-retrained model — the old-or-new
   guarantee the lifecycle tests assert under a concurrent reader.
@@ -33,13 +37,21 @@ from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import (AbstractSet, List, Optional, Sequence, Tuple, Union)
+from typing import (AbstractSet, Callable, List, Optional, Sequence, Tuple,
+                    TypeVar, Union)
 
 from ..core.base import NO_LINKS, Prediction
 from ..core.service import RestoreReport, ServiceConfig, TipsyService
 from ..pipeline.records import AggRecord, FlowContext
 from ..topology.wan import CloudWAN
 from .health import ShardHealth, staleness_hours
+
+_T = TypeVar("_T")
+
+#: how long a reader waits on a replica lock before re-reading the live
+#: pointer; the writer only ever holds the lock of a replica that is not
+#: live, so a longer wait means the pointer moved under the reader
+_RECHECK_S = 0.001
 
 
 class HotSwapShard:
@@ -82,15 +94,32 @@ class HotSwapShard:
 
     # -- queries (reader side) ------------------------------------------------
 
+    def _on_live(self, read: Callable[[TipsyService], _T]) -> _T:
+        """Run ``read`` on the live replica under that replica's lock.
+
+        The writer holds a replica's lock only while that replica is
+        offline, so a reader that cannot take the lock promptly, or
+        finds the pointer moved once it has the lock, re-reads the
+        pointer rather than queueing behind a trailing ingest.
+        """
+        while True:
+            live = self._live
+            lock = self._locks[live]
+            if not lock.acquire(timeout=_RECHECK_S):
+                continue
+            try:
+                if self._live == live:
+                    return read(self._replicas[live])
+            finally:
+                lock.release()
+
     def predict_batch(self, contexts: Sequence[FlowContext],
                       k: Optional[int] = None,
                       unavailable: AbstractSet[int] = NO_LINKS,
                       ) -> List[List[Prediction]]:
         """Batched predictions from the live replica (old-or-new only)."""
-        live = self._live
-        with self._locks[live]:
-            return self._replicas[live].predict_batch(
-                contexts, k, unavailable)
+        return self._on_live(
+            lambda service: service.predict_batch(contexts, k, unavailable))
 
     def withdrawal_predictions(
         self,
@@ -99,18 +128,15 @@ class HotSwapShard:
         withdrawn: AbstractSet[int] = NO_LINKS,
     ) -> List[Tuple[Prediction, ...]]:
         """Per-context withdrawal-model answers from the live replica."""
-        live = self._live
-        with self._locks[live]:
-            return self._replicas[live].withdrawal_predictions(
-                contexts, k, withdrawn)
+        return self._on_live(
+            lambda service: service.withdrawal_predictions(
+                contexts, k, withdrawn))
 
     # -- lifecycle ------------------------------------------------------------
 
     def snapshot(self, directory: Union[str, Path]) -> None:
         """Checkpoint the live replica's state (``docs/storage.md``)."""
-        live = self._live
-        with self._locks[live]:
-            self._replicas[live].snapshot(directory)
+        self._on_live(lambda service: service.snapshot(directory))
 
     @classmethod
     def restore(cls, directory: Union[str, Path], shard_id: int,
@@ -136,11 +162,8 @@ class HotSwapShard:
 
     def health(self, ingest_queue_depth: int = 0) -> ShardHealth:
         """A point-in-time health sample of the live replica."""
-        live = self._live
-        with self._locks[live]:
-            service = self._replicas[live]
-            trained = service.trained_days
-            stats = service.cache_stats()
+        service, trained, stats = self._on_live(
+            lambda live: (live, live.trained_days, live.cache_stats()))
         latest = max(trained) if trained else None
         return ShardHealth(
             shard_id=self.shard_id,

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import repro.analysis.base as analysis_base
+import repro.analysis.config as analysis_config
 import repro.analysis.dataflow as dataflow
 from repro.analysis import PROJECT_RULES, analyze_project, ruleset_fingerprint
 from repro.analysis.dataflow import (DeterminismConfigError,
@@ -103,7 +104,7 @@ def test_empty_table_stops_the_walk_up(tmp_path):
 def test_fallback_parser_matches_tomllib(monkeypatch):
     pytest.importorskip("tomllib")
     with_tomllib = read_determinism_table(REPO_ROOT / "pyproject.toml")
-    monkeypatch.setattr(dataflow, "tomllib", None)
+    monkeypatch.setattr(analysis_config, "tomllib", None)
     fallback = read_determinism_table(REPO_ROOT / "pyproject.toml")
     assert fallback == with_tomllib
 

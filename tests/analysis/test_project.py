@@ -21,8 +21,9 @@ import pytest
 from repro.analysis import PROJECT_RULES, analyze_project
 from repro.analysis.callgraph import (ProjectGraph, extract_facts,
                                       module_name_for)
-from repro.analysis.layers import (LayerConfigError, _fallback_read_layers,
-                                   find_layer_config, read_layers_table)
+from repro.analysis.config import _fallback_read_table
+from repro.analysis.layers import (LayerConfigError, find_layer_config,
+                                   read_layers_table)
 from repro.analysis.project import ProjectCache
 
 FIXTURES = Path(__file__).parent / "fixtures" / "project"
@@ -445,7 +446,8 @@ def test_fallback_parser_matches_tomllib():
                  FIXTURES / "layers" / "pyproject.toml"):
         text = path.read_text()
         expected = tomllib.loads(text)["tool"]["repro"]["layers"]
-        assert _fallback_read_layers(text, str(path)) == expected
+        assert _fallback_read_table(
+            text, str(path), "tool.repro.layers") == expected
 
 
 def test_wildcard_layer_may_import_anything(tmp_path):

@@ -24,8 +24,9 @@ def golden_registry() -> MetricsRegistry:
     registry.counter("service.ingest.records").inc(1234.5)
     registry.gauge("service.memo_hits").set(7)
     registry.gauge("bgp.simulator.table_misses").set(0)
-    hist = registry.histogram("service.retrain.seconds",
-                              buckets=(0.01, 0.1, 1.0))
+    # the default layout, so a change to DEFAULT_TIME_BUCKETS shows up
+    # in the golden file
+    hist = registry.histogram("service.retrain.seconds")
     for value in (0.005, 0.005, 0.05, 0.5, 2.0):
         hist.observe(value)
     return registry

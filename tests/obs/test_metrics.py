@@ -213,5 +213,5 @@ class TestMergeAcrossWorkers:
     def test_default_buckets_cover_latency_range(self):
         # sanity on the default layout the timing histograms use
         assert DEFAULT_TIME_BUCKETS == tuple(sorted(DEFAULT_TIME_BUCKETS))
-        assert DEFAULT_TIME_BUCKETS[0] <= 0.001
+        assert DEFAULT_TIME_BUCKETS[0] <= 0.0001
         assert DEFAULT_TIME_BUCKETS[-1] >= 10.0
