@@ -40,7 +40,7 @@ from typing import (Any, Dict, FrozenSet, List, Optional, Sequence, Set,
                     Tuple)
 
 from .base import Violation, name_chain, suppressed_lines
-from .checkers import DISPATCH_ALWAYS, DISPATCH_POOLISH, receiver_is_poolish
+from .parallel import DISPATCH_ALWAYS, DISPATCH_POOLISH, receiver_is_poolish
 from .ir import ModuleIR
 
 #: method names that mutate the receiver in place (RA501 here, RA502 in

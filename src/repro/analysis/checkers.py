@@ -1,147 +1,22 @@
 """The per-file rules (RA001–RA401), checked in one visit of each module.
 
-* **RNG discipline (RA001–RA003).**  The serial/parallel equivalence
-  guarantee of :class:`repro.perf.parallel.ParallelPipelineRunner`
-  holds only while every stochastic quantity is a pure function of
-  ``(seed, inputs)``.  The stdlib's module-level ``random.*`` functions
-  (RA001) and the legacy ``numpy.random.*`` global API (RA002) share
-  one hidden process-global generator whose state depends on call
-  order, and therefore on worker count; ``default_rng()`` /
-  ``random.Random()`` without an explicit seed (RA003) is seeded from
-  OS entropy, different every run.  Explicitly-seeded generator
-  instances are the repo's idiom:
-  ``np.random.default_rng(mix64(hour, seed=self.seed))``.
-* **Pool boundaries (RA101, RA102).**  Everything handed to a process
-  pool crosses a pickle boundary; a ``lambda`` (RA101) or a function
-  defined inside another function (RA102) fails there at runtime, and
-  only on the parallel path.  ``submit``/``apply``/``apply_async``/
-  ``imap*``/``starmap*``/``map_async`` are always checked; bare
-  ``.map(...)`` only when the receiver's name mentions ``pool`` or
-  ``executor``; pool constructors' ``initializer=`` too.
-* **Hot-path wall clock (RA201).**  Every hourly quantity in the hot
-  packages (``pipeline/``, ``core/``, ``traffic/`` by default) must be
-  a pure function of ``(scenario seed, hour)``; a ``time.time()`` or
-  ``datetime.now()`` there breaks bit-identical replay.  Timing
-  instrumentation belongs in ``perf/`` and the CLI.
-* **Mutable defaults (RA301).**  ``def f(x, acc=[])`` evaluates the
-  default once at import and shares it across calls (and workers).
-* **Module docstrings (RA401).**  Every public module opens with a
-  docstring; modules whose filename starts with an underscore are
-  exempt, except ``__init__.py`` and ``__main__.py``.
+Each rule family keeps its tables and messages in its own module —
+:mod:`.rng` (RA001–RA003), :mod:`.parallel` (RA101, RA102),
+:mod:`.hygiene` (RA201, RA301) and :mod:`.docstrings` (RA401) — and
+:class:`FileChecker` walks the tree once, asking each family about the
+nodes it cares about.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import FrozenSet, List, Optional, Set
+from typing import List, Optional, Set, Tuple
 
 from .base import ModuleContext, Violation
-
-# -- RA001-RA003 --------------------------------------------------------------
-
-#: ``numpy.random`` attributes that construct explicit generator state
-#: (allowed — though the constructors still need a seed, see RA003)
-#: rather than touching the global RandomState.
-_NUMPY_CONSTRUCTORS: FrozenSet[str] = frozenset({
-    "default_rng", "Generator", "RandomState", "SeedSequence",
-    "BitGenerator", "PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937",
-})
-
-#: constructors whose first argument (or ``seed=`` keyword) is the seed
-#: and must be present and non-None.
-_SEED_REQUIRED: FrozenSet[str] = frozenset({
-    "numpy.random.default_rng", "numpy.random.RandomState",
-    "numpy.random.SeedSequence", "numpy.random.PCG64",
-    "numpy.random.PCG64DXSM", "numpy.random.Philox",
-    "numpy.random.SFC64", "numpy.random.MT19937",
-    "random.Random",
-})
-
-# -- RA101/RA102 --------------------------------------------------------------
-
-#: attribute calls always treated as a pool dispatch
-DISPATCH_ALWAYS: FrozenSet[str] = frozenset({
-    "submit", "apply", "apply_async", "imap", "imap_unordered",
-    "starmap", "starmap_async", "map_async",
-})
-
-#: attribute calls treated as a dispatch only for pool-ish receivers
-DISPATCH_POOLISH: FrozenSet[str] = frozenset({"map"})
-
-#: constructors whose ``initializer=`` kwarg also crosses the boundary
-_POOL_CONSTRUCTORS: FrozenSet[str] = frozenset({
-    "concurrent.futures.ProcessPoolExecutor",
-    "concurrent.futures.process.ProcessPoolExecutor",
-    "multiprocessing.Pool",
-    "multiprocessing.pool.Pool",
-})
-
-# -- RA201/RA301/RA401 --------------------------------------------------------
-
-#: dotted call paths that read the wall clock
-WALL_CLOCK: FrozenSet[str] = frozenset({
-    "time.time", "time.time_ns",
-    "time.monotonic", "time.monotonic_ns",
-    "time.perf_counter", "time.perf_counter_ns",
-    "time.process_time", "time.process_time_ns",
-    "datetime.datetime.now", "datetime.datetime.utcnow",
-    "datetime.datetime.today", "datetime.date.today",
-})
-
-#: constructor names whose call as a default produces a fresh-but-shared
-#: mutable object
-_MUTABLE_FACTORIES: FrozenSet[str] = frozenset({
-    "list", "dict", "set", "bytearray", "defaultdict", "deque",
-    "OrderedDict", "Counter",
-})
-
-#: dunder modules that are public API surface despite the underscore
-_PUBLIC_DUNDERS = frozenset({"__init__", "__main__"})
-
-
-def receiver_is_poolish(node: ast.expr) -> bool:
-    """True when a receiver's name suggests an executor or pool."""
-    name: Optional[str] = None
-    if isinstance(node, ast.Name):
-        name = node.id
-    elif isinstance(node, ast.Attribute):
-        name = node.attr
-    elif isinstance(node, ast.Call):
-        return receiver_is_poolish(node.func)
-    if name is None:
-        return False
-    lowered = name.lower()
-    return "pool" in lowered or "executor" in lowered
-
-
-def _is_none(node: Optional[ast.expr]) -> bool:
-    return isinstance(node, ast.Constant) and node.value is None
-
-
-def _has_explicit_seed(call: ast.Call) -> bool:
-    """True when the call passes a non-None seed (positionally or by
-    ``seed=``)."""
-    if call.args and not _is_none(call.args[0]):
-        return True
-    for keyword in call.keywords:
-        if keyword.arg == "seed" and not _is_none(keyword.value):
-            return True
-    return False
-
-
-def _is_mutable(node: ast.expr) -> bool:
-    if isinstance(node, (ast.List, ast.Dict, ast.Set,
-                         ast.ListComp, ast.DictComp, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        func = node.func
-        name = None
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
-        return name in _MUTABLE_FACTORIES
-    return False
+from .docstrings import missing_docstring
+from .hygiene import WALL_CLOCK, mutable_defaults, wall_clock_message
+from .parallel import dispatched_callables, unpicklable_finding
+from .rng import rng_finding
 
 
 class FileChecker(ast.NodeVisitor):
@@ -167,37 +42,25 @@ class FileChecker(ast.NodeVisitor):
             message=message,
         ))
 
+    def _report_finding(self, node: ast.AST,
+                        finding: Optional[Tuple[str, str]]) -> None:
+        if finding is not None:
+            self.report(node, *finding)
+
     def run(self) -> List[Violation]:
-        path = self.context.path
-        public = not path.stem.startswith("_") or path.stem in _PUBLIC_DUNDERS
-        if public and ast.get_docstring(self.context.tree) is None:
+        message = missing_docstring(self.context.path, self.context.tree)
+        if message is not None:
             # ast.Module has no lineno; report() anchors it at 1:1,
             # which is exactly where the docstring belongs.
-            self.report(
-                self.context.tree, "RA401",
-                f"public module `{path.name}` has no "
-                f"docstring; open with one line saying what the module "
-                f"is for (see docs/architecture.md for the layer map)")
+            self.report(self.context.tree, "RA401", message)
         self.visit(self.context.tree)
         return self.violations
 
     # -- scopes (RA102) and defaults (RA301) ---------------------------------
 
     def _check_args(self, node: ast.arguments, owner: str) -> None:
-        positional = node.posonlyargs + node.args
-        defaults = node.defaults
-        pairs = list(zip(positional[len(positional) - len(defaults):],
-                         defaults))
-        pairs += [(arg, default) for arg, default
-                  in zip(node.kwonlyargs, node.kw_defaults)
-                  if default is not None]
-        for arg, default in pairs:
-            if _is_mutable(default):
-                self.report(
-                    default, "RA301",
-                    f"mutable default for `{arg.arg}` in `{owner}` is "
-                    f"shared across calls; default to None and create "
-                    f"the object in the body")
+        for default, message in mutable_defaults(node, owner):
+            self.report(default, "RA301", message)
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._visit_function(node)
@@ -227,97 +90,16 @@ class FileChecker(ast.NodeVisitor):
                     self._local_lambdas[-1].add(target.id)
         self.generic_visit(node)
 
-    # -- calls ---------------------------------------------------------------
+    # -- calls (RA001-RA003, RA101, RA102, RA201) ----------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
         dotted = self.imports.resolve_attribute(node.func)
         if dotted is not None:
-            self._check_rng(node, dotted)
+            self._report_finding(node, rng_finding(node, dotted))
             if dotted in WALL_CLOCK and self.context.is_hot_path:
-                packages = ", ".join(sorted(self.context.hot_packages))
-                self.report(
-                    node, "RA201",
-                    f"`{dotted}` reads the wall clock inside a "
-                    f"determinism-critical package ({packages}); hot-path "
-                    f"output must be a pure function of (seed, hour) — "
-                    f"move timing instrumentation to perf/ or the CLI")
-        self._check_dispatch(node, dotted)
+                self.report(node, "RA201", wall_clock_message(
+                    dotted, self.context.hot_packages))
+        for arg, how in dispatched_callables(node, dotted, self.imports):
+            self._report_finding(arg, unpicklable_finding(
+                arg, how, self._local_lambdas, self._local_funcs))
         self.generic_visit(node)
-
-    def _check_seeded(self, call: ast.Call, dotted: str) -> None:
-        if dotted in _SEED_REQUIRED and not _has_explicit_seed(call):
-            short = dotted.replace("numpy.random.", "")
-            self.report(
-                call, "RA003",
-                f"`{short}` constructed without an explicit seed; derive "
-                f"one with `repro.util.hashing.mix64(..., seed=...)` so "
-                f"runs are reproducible")
-
-    def _check_rng(self, node: ast.Call, dotted: str) -> None:
-        if dotted.startswith("numpy.random."):
-            head = dotted[len("numpy.random."):].split(".")[0]
-            if head in _NUMPY_CONSTRUCTORS:
-                self._check_seeded(node, f"numpy.random.{head}")
-            else:
-                self.report(
-                    node, "RA002",
-                    f"`{dotted}` draws from numpy's process-global "
-                    f"RandomState; construct a generator with "
-                    f"`default_rng(mix64(..., seed=...))` instead")
-        elif dotted.startswith("random."):
-            head = dotted[len("random."):].split(".")[0]
-            if head == "Random":
-                self._check_seeded(node, "random.Random")
-            elif head == "SystemRandom":
-                self.report(
-                    node, "RA001",
-                    "`random.SystemRandom` reads OS entropy and can "
-                    "never be reproduced; use a seeded "
-                    "`random.Random(...)` instance")
-            else:
-                self.report(
-                    node, "RA001",
-                    f"`{dotted}` uses the stdlib's process-global "
-                    f"generator; its state depends on call order and "
-                    f"worker count — use a seeded `random.Random(...)` "
-                    f"instance or `repro.util.hashing`")
-
-    def _check_dispatch(self, node: ast.Call, dotted: Optional[str]) -> None:
-        # pool.submit(fn, ...) / pool.imap(fn, ...) / executor.map(fn, ...)
-        if isinstance(node.func, ast.Attribute):
-            attr = node.func.attr
-            is_dispatch = attr in DISPATCH_ALWAYS or (
-                attr in DISPATCH_POOLISH
-                and receiver_is_poolish(node.func.value))
-            if is_dispatch and node.args:
-                self._check_callable_arg(
-                    node.args[0], f"passed to `.{attr}(...)`")
-        # ProcessPoolExecutor(initializer=...) / Pool(initializer=...)
-        if dotted is None and isinstance(node.func, ast.Name):
-            resolved = self.imports.symbols.get(node.func.id)
-            if resolved is not None:
-                dotted = f"{resolved[0]}.{resolved[1]}"
-        if dotted in _POOL_CONSTRUCTORS:
-            for keyword in node.keywords:
-                if keyword.arg == "initializer":
-                    self._check_callable_arg(
-                        keyword.value, "passed as `initializer=`")
-
-    def _check_callable_arg(self, node: ast.expr, how: str) -> None:
-        if isinstance(node, ast.Lambda):
-            self.report(
-                node, "RA101",
-                f"lambda {how} cannot be pickled into a worker process; "
-                f"define a module-level function instead")
-        elif isinstance(node, ast.Name):
-            if any(node.id in scope for scope in self._local_lambdas):
-                self.report(
-                    node, "RA101",
-                    f"`{node.id}` is bound to a lambda and {how}; "
-                    f"lambdas cannot be pickled into a worker process")
-            elif any(node.id in scope for scope in self._local_funcs):
-                self.report(
-                    node, "RA102",
-                    f"`{node.id}` is defined inside a function and {how}; "
-                    f"closures cannot be pickled — lift it to module "
-                    f"level")

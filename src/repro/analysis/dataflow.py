@@ -63,7 +63,7 @@ from typing import (Dict, FrozenSet, List, Mapping, Optional, Sequence,
 
 from .base import Violation
 from .callgraph import FunctionKey, ProjectGraph
-from .checkers import WALL_CLOCK
+from .hygiene import WALL_CLOCK
 from .config import find_table, read_table
 from .ir import ModuleIR, SiteBuilder, snippet
 

@@ -1,20 +1,16 @@
-"""Documentation hygiene checker (RA401).
+"""Documentation hygiene rule (RA401), checked by :mod:`.checkers`.
 
-RA401 — every public module must open with a docstring.  The repo's
-docs (``docs/architecture.md`` and friends) describe the layers; the
-module docstring is where a reader lands *next*, so a missing one
-breaks the documentation trail exactly where it matters most.  Modules
-whose filename starts with an underscore are implementation details and
-exempt — except ``__init__.py`` and ``__main__.py``, which are the
-public face of a package and must be documented.
+Every public module opens with a docstring: the repo's docs describe
+the layers, and the module docstring is where a reader lands next.
+Modules whose filename starts with an underscore are exempt, except
+``__init__.py`` and ``__main__.py``, the public face of a package.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import List, Tuple
-
-from .base import Checker, Violation
+from pathlib import Path
+from typing import Optional
 
 #: dunder modules that are public API surface despite the underscore
 _PUBLIC_DUNDERS = frozenset({"__init__", "__main__"})
@@ -25,21 +21,10 @@ def is_public_module(stem: str) -> bool:
     return not stem.startswith("_") or stem in _PUBLIC_DUNDERS
 
 
-class ModuleDocstringChecker(Checker):
-    """RA401: public modules open with a docstring."""
-
-    codes: Tuple[str, ...] = ("RA401",)
-
-    def run(self) -> List[Violation]:
-        stem = self.context.path.stem
-        if not is_public_module(stem):
-            return self.violations
-        if ast.get_docstring(self.context.tree) is None:
-            # ast.Module has no lineno; report() anchors it at 1:1,
-            # which is exactly where the docstring belongs.
-            self.report(
-                self.context.tree, "RA401",
-                f"public module `{self.context.path.name}` has no "
+def missing_docstring(path: Path, tree: ast.Module) -> Optional[str]:
+    """The RA401 message when a public module has no docstring."""
+    if is_public_module(path.stem) and ast.get_docstring(tree) is None:
+        return (f"public module `{path.name}` has no "
                 f"docstring; open with one line saying what the module "
                 f"is for (see docs/architecture.md for the layer map)")
-        return self.violations
+    return None

@@ -1,31 +1,21 @@
-"""RNG-discipline checkers (RA001-RA003).
+"""RNG-discipline rules (RA001–RA003), checked by :mod:`.checkers`.
 
 The serial/parallel equivalence guarantee of
 :class:`repro.perf.parallel.ParallelPipelineRunner` holds only while
 every stochastic quantity is a pure function of ``(seed, inputs)``.
-Three things break it:
-
-* ``random.random()`` / ``random.choice(...)`` … — the stdlib's
-  *module-level* functions share one process-global generator whose
-  state depends on call order, and therefore on worker count (RA001);
-* the legacy ``numpy.random.*`` global API (``np.random.rand``,
-  ``np.random.seed`` …) — same problem, one hidden global
-  ``RandomState`` (RA002);
-* ``default_rng()`` / ``random.Random()`` constructed *without* an
-  explicit seed — seeded from the OS entropy pool, different every run
-  (RA003).
-
-Explicitly-seeded generator instances are fine, and are the repo's
-idiom: ``np.random.default_rng(mix64(hour, seed=self.seed))`` or
-``random.Random(seed ^ 0x5A17)``.
+The stdlib's module-level ``random.*`` functions (RA001) and the legacy
+``numpy.random.*`` global API (RA002) share one hidden process-global
+generator whose state depends on call order, and therefore on worker
+count; ``default_rng()`` / ``random.Random()`` without an explicit seed
+(RA003) is seeded from OS entropy, different every run.
+Explicitly-seeded generator instances are the repo's idiom:
+``np.random.default_rng(mix64(hour, seed=self.seed))``.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import FrozenSet, List, Optional, Tuple
-
-from .base import Checker, ImportMap, Violation
+from typing import FrozenSet, Optional, Tuple
 
 #: ``numpy.random`` attributes that construct explicit generator state
 #: (allowed — though the constructors still need a seed, see RA003)
@@ -61,62 +51,39 @@ def _has_explicit_seed(call: ast.Call) -> bool:
     return False
 
 
-class RngDisciplineChecker(Checker):
-    """RA001 (global random), RA002 (numpy global), RA003 (unseeded)."""
-
-    codes: Tuple[str, ...] = ("RA001", "RA002", "RA003")
-
-    def run(self) -> List[Violation]:
-        self._imports = ImportMap().collect(self.context.tree)
-        return super().run()
-
-    # -- helpers -----------------------------------------------------------
-
-    def _dotted(self, node: ast.expr) -> Optional[str]:
-        return self._imports.resolve_attribute(node)
-
-    def _check_seeded(self, call: ast.Call, dotted: str) -> None:
-        if dotted in _SEED_REQUIRED and not _has_explicit_seed(call):
-            short = dotted.replace("numpy.random.", "").replace(
-                "random.", "random.")
-            self.report(
-                call, "RA003",
+def _unseeded(call: ast.Call, dotted: str) -> Optional[Tuple[str, str]]:
+    if dotted in _SEED_REQUIRED and not _has_explicit_seed(call):
+        short = dotted.replace("numpy.random.", "")
+        return ("RA003",
                 f"`{short}` constructed without an explicit seed; derive "
                 f"one with `repro.util.hashing.mix64(..., seed=...)` so "
                 f"runs are reproducible")
+    return None
 
-    # -- visitors ----------------------------------------------------------
 
-    def visit_Call(self, node: ast.Call) -> None:
-        dotted = self._dotted(node.func)
-        if dotted is not None:
-            if dotted.startswith("numpy.random."):
-                tail = dotted[len("numpy.random."):]
-                head = tail.split(".")[0]
-                if head in _NUMPY_CONSTRUCTORS:
-                    self._check_seeded(node, f"numpy.random.{head}")
-                else:
-                    self.report(
-                        node, "RA002",
-                        f"`{dotted}` draws from numpy's process-global "
-                        f"RandomState; construct a generator with "
-                        f"`default_rng(mix64(..., seed=...))` instead")
-            elif dotted.startswith("random."):
-                tail = dotted[len("random."):]
-                head = tail.split(".")[0]
-                if head == "Random":
-                    self._check_seeded(node, "random.Random")
-                elif head == "SystemRandom":
-                    self.report(
-                        node, "RA001",
-                        "`random.SystemRandom` reads OS entropy and can "
-                        "never be reproduced; use a seeded "
-                        "`random.Random(...)` instance")
-                else:
-                    self.report(
-                        node, "RA001",
-                        f"`{dotted}` uses the stdlib's process-global "
-                        f"generator; its state depends on call order and "
-                        f"worker count — use a seeded `random.Random(...)` "
-                        f"instance or `repro.util.hashing`")
-        self.generic_visit(node)
+def rng_finding(call: ast.Call, dotted: str) -> Optional[Tuple[str, str]]:
+    """The ``(code, message)`` RA001–RA003 report for a call to the
+    resolved name ``dotted``, or None when it is sound."""
+    if dotted.startswith("numpy.random."):
+        head = dotted[len("numpy.random."):].split(".")[0]
+        if head in _NUMPY_CONSTRUCTORS:
+            return _unseeded(call, f"numpy.random.{head}")
+        return ("RA002",
+                f"`{dotted}` draws from numpy's process-global "
+                f"RandomState; construct a generator with "
+                f"`default_rng(mix64(..., seed=...))` instead")
+    if dotted.startswith("random."):
+        head = dotted[len("random."):].split(".")[0]
+        if head == "Random":
+            return _unseeded(call, "random.Random")
+        if head == "SystemRandom":
+            return ("RA001",
+                    "`random.SystemRandom` reads OS entropy and can "
+                    "never be reproduced; use a seeded "
+                    "`random.Random(...)` instance")
+        return ("RA001",
+                f"`{dotted}` uses the stdlib's process-global "
+                f"generator; its state depends on call order and "
+                f"worker count — use a seeded `random.Random(...)` "
+                f"instance or `repro.util.hashing`")
+    return None
